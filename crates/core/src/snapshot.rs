@@ -93,9 +93,10 @@ pub const KIND_SHARDED_TENSOR: u16 = 4;
 /// tensor record) followed by the original model's sections, where each
 /// weight record is an independently CRC-checked, offset-addressable *block*.
 /// Written by [`block_stream_snapshot`]; [`read_block_index`] locates every
-/// block without touching any block payload, and [`extract_block`] re-frames
-/// one block as a standalone [`KIND_TENSOR`] snapshot — the layer-granular
-/// paging form of the Kun-peng ordered-block database design.
+/// block without touching any block payload, [`load_block`] decodes one
+/// block after checking only that block's CRC, and [`extract_block`]
+/// re-frames one block as a standalone [`KIND_TENSOR`] snapshot — the
+/// layer-granular paging form of the Kun-peng ordered-block database design.
 pub const KIND_BLOCKED: u16 = 5;
 
 /// Tensor format code: dense `pd_tensor::Matrix`.
@@ -226,16 +227,64 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
+/// The slicing-by-8 lookup tables behind [`crc32`], computed at compile time.
+/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through the
+/// polynomial; `CRC_TABLES[k][b]` is the same byte followed by `k` zero
+/// bytes, so eight lookups advance the register by eight input bytes.
+const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
+
+const fn crc_tables() -> [[u32; 256]; 8] {
+    let mut tables = [[0u32; 256]; 8];
+    let mut b = 0;
+    while b < 256 {
+        let mut crc = b as u32;
+        let mut bit = 0;
+        while bit < 8 {
+            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            bit += 1;
+        }
+        tables[0][b] = crc;
+        b += 1;
+    }
+    let mut k = 1;
+    while k < 8 {
+        let mut b = 0;
+        while b < 256 {
+            let prev = tables[k - 1][b];
+            tables[k][b] = (prev >> 8) ^ tables[0][(prev & 0xff) as usize];
+            b += 1;
+        }
+        k += 1;
+    }
+    tables
+}
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the per-section
 /// payload checksum.
+///
+/// Table-driven slicing-by-8: eight bytes per step through [`CRC_TABLES`],
+/// then byte-at-a-time for the remainder. The output is the standard CRC-32
+/// of the input, identical to the textbook bit-at-a-time loop for every
+/// input, so every checksum already on disk still verifies.
 pub fn crc32(bytes: &[u8]) -> u32 {
+    // A reference to the const is promoted to a static: no per-call copy.
+    let t: &'static [[u32; 256]; 8] = &CRC_TABLES;
     let mut crc = 0xffff_ffffu32;
-    for &b in bytes {
-        crc ^= u32::from(b);
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xedb8_8320 & mask);
-        }
+    let mut chunks = bytes.chunks_exact(8);
+    for c in &mut chunks {
+        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
+        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
+        crc = t[7][(lo & 0xff) as usize]
+            ^ t[6][((lo >> 8) & 0xff) as usize]
+            ^ t[5][((lo >> 16) & 0xff) as usize]
+            ^ t[4][(lo >> 24) as usize]
+            ^ t[3][(hi & 0xff) as usize]
+            ^ t[2][((hi >> 8) & 0xff) as usize]
+            ^ t[1][((hi >> 16) & 0xff) as usize]
+            ^ t[0][(hi >> 24) as usize];
+    }
+    for &b in chunks.remainder() {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
     }
     !crc
 }
@@ -820,7 +869,17 @@ pub fn load_tensor(
             reason: format!("kind {} is not a bare tensor", snap.kind()),
         });
     }
-    let mut r = ByteReader::new(snap.section("tensor")?);
+    decode_record(snap.section("tensor")?, codec)
+}
+
+/// Decodes one complete tensor record (format code + payload) in place,
+/// rejecting trailing bytes — the common tail of [`load_tensor`] and
+/// [`load_block`].
+fn decode_record(
+    record: &[u8],
+    codec: &SnapshotCodec,
+) -> Result<Arc<dyn CompressedLinear>, SnapshotError> {
+    let mut r = ByteReader::new(record);
     let op = codec.decode_tensor(&mut r)?;
     r.expect_end("tensor section")?;
     Ok(op)
@@ -1450,19 +1509,11 @@ pub fn read_block_index(bytes: &[u8]) -> Result<BlockIndex, SnapshotError> {
     Ok(BlockIndex { inner_kind, blocks })
 }
 
-/// Extracts block `k` of a [`KIND_BLOCKED`] container as a standalone
-/// [`KIND_TENSOR`] snapshot — directly decodable by [`load_tensor`] — after
-/// CRC-checking *only that block's* payload. This is the registry's fault
-/// path: paging one layer in reads (and validates) just that layer's bytes,
-/// the same re-framing trick as [`extract_shard`].
-///
-/// # Errors
-///
-/// Returns a typed [`SnapshotError`] for corruption in the header, framing,
-/// index, or the requested block itself, and
-/// [`SnapshotError::MissingSection`] for a block number the index does not
-/// list.
-pub fn extract_block(bytes: &[u8], k: usize) -> Result<Vec<u8>, SnapshotError> {
+/// Locates block `k` of a [`KIND_BLOCKED`] container through its validated
+/// index and checks *only that block's* payload against its stored CRC,
+/// returning the payload borrowed in place — the shared first step of
+/// [`extract_block`] and [`load_block`].
+fn verified_block(bytes: &[u8], k: usize) -> Result<&[u8], SnapshotError> {
     let index = read_block_index(bytes)?;
     let Some(entry) = index.blocks.get(k) else {
         return Err(SnapshotError::MissingSection {
@@ -1475,12 +1526,45 @@ pub fn extract_block(bytes: &[u8], k: usize) -> Result<Vec<u8>, SnapshotError> {
         len: entry.len as usize,
     };
     verify_frame_crc(bytes, &frame)?;
+    Ok(&bytes[frame.offset..frame.offset + frame.len])
+}
+
+/// Extracts block `k` of a [`KIND_BLOCKED`] container as a standalone
+/// [`KIND_TENSOR`] snapshot — directly decodable by [`load_tensor`] — after
+/// CRC-checking *only that block's* payload: the same re-framing trick as
+/// [`extract_shard`], for tooling that wants one layer as a file of its own.
+/// To decode a block, [`load_block`] does the same validation without the
+/// re-framing.
+///
+/// # Errors
+///
+/// Returns a typed [`SnapshotError`] for corruption in the header, framing,
+/// index, or the requested block itself, and
+/// [`SnapshotError::MissingSection`] for a block number the index does not
+/// list.
+pub fn extract_block(bytes: &[u8], k: usize) -> Result<Vec<u8>, SnapshotError> {
     let mut b = SnapshotBuilder::new(KIND_TENSOR);
-    b.section(
-        "tensor",
-        bytes[frame.offset..frame.offset + frame.len].to_vec(),
-    );
+    b.section("tensor", verified_block(bytes, k)?.to_vec());
     Ok(b.finish())
+}
+
+/// Decodes block `k` of a [`KIND_BLOCKED`] container — the paging registry's
+/// fault path. The block's payload is checked once against its stored CRC
+/// and decoded in place from `bytes`: no payload copy, no re-framing, and no
+/// second checksum. The result is the operator `load_tensor(&extract_block(bytes,
+/// k)?, codec)` returns, with the same errors.
+///
+/// # Errors
+///
+/// As [`extract_block`], plus the decoder's error for a record that is
+/// malformed or has trailing bytes, and [`SnapshotError::UnknownFormat`] for
+/// a format code `codec` does not register.
+pub fn load_block(
+    bytes: &[u8],
+    k: usize,
+    codec: &SnapshotCodec,
+) -> Result<Arc<dyn CompressedLinear>, SnapshotError> {
+    decode_record(verified_block(bytes, k)?, codec)
 }
 
 /// Reads one *metadata* section (an MLP's `"graph"`, a bias vector, ...) of a
@@ -1667,6 +1751,7 @@ fn decode_pd_conv(
 mod tests {
     use super::*;
     use pd_tensor::init::{seeded_rng, xavier_uniform};
+    use proptest::prelude::*;
 
     #[test]
     fn container_round_trips() {
@@ -1811,6 +1896,49 @@ mod tests {
         // The canonical IEEE test vector.
         assert_eq!(crc32(b"123456789"), 0xcbf4_3926);
         assert_eq!(crc32(b""), 0);
+    }
+
+    /// The bit-at-a-time CRC-32 that the table-driven [`crc32`] replaced:
+    /// the reference it must match on every input.
+    fn crc32_bitwise(bytes: &[u8]) -> u32 {
+        let mut crc = 0xffff_ffffu32;
+        for &b in bytes {
+            crc ^= u32::from(b);
+            for _ in 0..8 {
+                let mask = (crc & 1).wrapping_neg();
+                crc = (crc >> 1) ^ (0xedb8_8320 & mask);
+            }
+        }
+        !crc
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // Every prefix length 0..=64: the empty input, the remainder-only
+        // path (< 8 bytes), and every remainder after 1..=8 whole chunks.
+        #[test]
+        fn crc32_matches_bitwise_reference_at_every_short_length(
+            bytes in proptest::collection::vec(0u8..=255, 64)
+        ) {
+            for len in 0..=bytes.len() {
+                prop_assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]));
+            }
+        }
+
+        // Lengths up to 8 KiB, then a sub-slice starting and ending at an
+        // arbitrary offset, so chunks straddle every alignment.
+        #[test]
+        fn crc32_matches_bitwise_reference_on_long_unaligned_slices(
+            bytes in proptest::collection::vec(0u8..=255, 0..=8192),
+            (start, trim) in (0usize..64, 0usize..64)
+        ) {
+            prop_assert_eq!(crc32(&bytes), crc32_bitwise(&bytes));
+            let start = start.min(bytes.len());
+            let end = bytes.len().saturating_sub(trim).max(start);
+            let sub = &bytes[start..end];
+            prop_assert_eq!(crc32(sub), crc32_bitwise(sub));
+        }
     }
 
     #[test]
@@ -1999,10 +2127,16 @@ mod tests {
         // Each block decodes standalone and matvecs like the original.
         let codec = SnapshotCodec::new();
         for (k, w) in [(0usize, &w0), (1, &w1)] {
-            let op = load_tensor(&extract_block(&blocked, k).unwrap(), &codec).unwrap();
             let x: Vec<f32> = (0..w.cols()).map(|i| (i as f32 * 0.3).cos()).collect();
+            let op = load_tensor(&extract_block(&blocked, k).unwrap(), &codec).unwrap();
+            assert_eq!(op.matvec(&x).unwrap(), w.matvec(&x));
+            let op = load_block(&blocked, k, &codec).unwrap();
             assert_eq!(op.matvec(&x).unwrap(), w.matvec(&x));
         }
+        assert!(matches!(
+            load_block(&blocked, 2, &codec),
+            Err(SnapshotError::MissingSection { .. })
+        ));
     }
 
     #[test]
@@ -2054,6 +2188,12 @@ mod tests {
         assert!(extract_block(&blocked, 0).is_ok());
         assert!(matches!(
             extract_block(&blocked, 1),
+            Err(SnapshotError::ChecksumMismatch { ref section, .. }) if section == "layer1.weights"
+        ));
+        let codec = SnapshotCodec::new();
+        assert!(load_block(&blocked, 0, &codec).is_ok());
+        assert!(matches!(
+            load_block(&blocked, 1, &codec),
             Err(SnapshotError::ChecksumMismatch { ref section, .. }) if section == "layer1.weights"
         ));
         // The eager whole-container parse still catches it, of course.
@@ -2146,6 +2286,10 @@ mod tests {
             assert!(
                 extract_block(truncated, 0).is_err(),
                 "block extract of {len}-byte prefix must fail"
+            );
+            assert!(
+                load_block(truncated, 0, &SnapshotCodec::new()).is_err(),
+                "block load of {len}-byte prefix must fail"
             );
         }
     }

@@ -159,10 +159,11 @@ pub fn batch_model_loader() -> ModelLoader {
 /// `"tensor"` block served bare — no bias step, matching
 /// `SingleLayerModel`'s arithmetic exactly).
 ///
-/// Every weight block *is* decoded once here — standalone, via
-/// [`extract_block`](permdnn_core::snapshot::extract_block) — to validate
-/// its shape and record its per-example cost, then dropped; only the
-/// skeleton stays resident.
+/// Every weight block *is* decoded once here — checked against its stored
+/// CRC and decoded in place, via
+/// [`load_block`](permdnn_core::snapshot::load_block) — to validate its
+/// shape and record its per-example cost, then dropped; only the skeleton
+/// stays resident.
 ///
 /// [`KIND_MLP`]: permdnn_core::snapshot::KIND_MLP
 /// [`KIND_TENSOR`]: permdnn_core::snapshot::KIND_TENSOR
@@ -173,7 +174,7 @@ pub fn batch_model_loader() -> ModelLoader {
 /// chain, or an inner kind with no paged-serving surface.
 pub fn load_paged_model(bytes: &[u8]) -> Result<PagedModel, SnapshotError> {
     use permdnn_core::snapshot::{
-        extract_block, load_tensor, read_block_index, read_blocked_section, KIND_MLP, KIND_TENSOR,
+        load_block, read_block_index, read_blocked_section, KIND_MLP, KIND_TENSOR,
     };
     let index = read_block_index(bytes)?;
     let codec = codec();
@@ -184,7 +185,7 @@ pub fn load_paged_model(bytes: &[u8]) -> Result<PagedModel, SnapshotError> {
                 .ok_or_else(|| SnapshotError::MissingSection {
                     name: "tensor".to_string(),
                 })?;
-            let op = load_tensor(&extract_block(bytes, k)?, &codec)?;
+            let op = load_block(bytes, k, &codec)?;
             PagedModel::new(vec![PagedStage::linear(
                 k,
                 index.blocks[k].len,
@@ -210,7 +211,7 @@ pub fn load_paged_model(bytes: &[u8]) -> Result<PagedModel, SnapshotError> {
                         let k = index
                             .position(&name)
                             .ok_or(SnapshotError::MissingSection { name })?;
-                        let op = load_tensor(&extract_block(bytes, k)?, &codec)?;
+                        let op = load_block(bytes, k, &codec)?;
                         if op.in_dim() != current {
                             return Err(SnapshotError::Malformed {
                                 context: "paged mlp layer chain",
@@ -330,6 +331,53 @@ mod tests {
                 FORMAT_PD_CONV,
             ]
         );
+
+        // One operator of every registered format, paged as a blocked bare
+        // tensor: the fault path (`load_block`, decoded in place) rebuilds
+        // exactly the operator that re-framing the block and loading it does.
+        use permdnn_core::qlinear::{QScheme, QuantizedLinear};
+        use permdnn_core::{BlockPermDiagMatrix, BlockPermDiagTensor4, PermutationIndexing};
+        use permdnn_prune::eie_format::{uniform_codebook, EieEncodedMatrix};
+        let rng = &mut pd_tensor::init::seeded_rng(0xB10C);
+        let dense = pd_tensor::init::xavier_uniform(rng, 16, 16);
+        let pd = BlockPermDiagMatrix::random(16, 16, 4, rng);
+        let pruned = permdnn_prune::magnitude_prune(&dense, 0.25).pruned;
+        let codebook = uniform_codebook(4, pruned.max_abs().max(1e-6));
+        let conv = BlockPermDiagTensor4::random(8, 4, 3, 3, 2, PermutationIndexing::Natural, rng);
+        let ops: Vec<Arc<dyn CompressedLinear>> = vec![
+            Arc::new(dense),
+            Arc::new(pd.clone()),
+            Arc::new(permdnn_circulant::BlockCirculantMatrix::random(
+                16, 16, 4, rng,
+            )),
+            Arc::new(permdnn_prune::CscMatrix::from_dense(&pruned)),
+            Arc::new(EieEncodedMatrix::encode(&pruned, &codebook, 4, 4)),
+            Arc::new(permdnn_quant::SharedWeightPdMatrix::quantize_4bit(&pd, rng)),
+            Arc::new(QuantizedLinear::from_op(
+                Arc::new(pd.clone()),
+                QScheme::new(12, 12, 11),
+            )),
+            Arc::new(permdnn_core::PdConvMatrix::new(conv)),
+        ];
+        let bits = |m: pd_tensor::Matrix| -> Vec<u32> {
+            m.as_slice().iter().map(|v| v.to_bits()).collect()
+        };
+        let mut paged_formats = Vec::new();
+        for op in ops {
+            let blocked = block_stream_snapshot(&save_tensor(op.as_ref()).unwrap()).unwrap();
+            paged_formats.push(read_block_index(&blocked).unwrap().blocks[0].kind);
+            let faulted = load_block(&blocked, 0, &codec()).unwrap();
+            let reframed = load_tensor(&extract_block(&blocked, 0).unwrap(), &codec()).unwrap();
+            assert_eq!(
+                bits(faulted.to_dense()),
+                bits(reframed.to_dense()),
+                "{}",
+                op.label()
+            );
+            assert_eq!(faulted.label(), reframed.label());
+        }
+        paged_formats.sort_unstable();
+        assert_eq!(paged_formats, codec().formats(), "every format is covered");
     }
 
     #[test]

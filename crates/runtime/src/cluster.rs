@@ -269,9 +269,10 @@ impl ClusterReport {
         self.totals().shed_rate()
     }
 
-    /// Total simulated serving time in ticks.
+    /// Total simulated serving time in ticks (0 when nothing was served
+    /// after the first arrival).
     pub fn makespan_ticks(&self) -> u64 {
-        self.final_tick - self.first_arrival_tick
+        self.final_tick.saturating_sub(self.first_arrival_tick)
     }
 
     /// Requests served per second at a nominal tick rate of `tick_hz`.
@@ -763,7 +764,7 @@ impl Cluster {
 
         let (mut completed, per_host, final_tick) = match self.topology {
             ClusterTopology::Replicated { .. } => {
-                self.run_replicated(exec, cfg, reference_workers, admitted)?
+                self.run_replicated(exec, cfg, reference_workers, first_arrival_tick, admitted)?
             }
             ClusterTopology::RowSharded { .. } => self.run_lockstep(
                 exec,
@@ -831,13 +832,16 @@ impl Cluster {
 
     /// Replicated dispatch: split the admitted streams by routing hash and
     /// run each host's substream through the registry serving loop
-    /// (admission already done, so `shed = false`).
+    /// (admission already done, so `shed = false`). The final tick is
+    /// seeded at the stream start, as in `run_lockstep`, so a
+    /// run where admission shed everything has a zero makespan.
     #[allow(clippy::type_complexity)]
     fn run_replicated(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &TrafficConfig,
         reference_workers: usize,
+        first_arrival_tick: u64,
         admitted: BTreeMap<String, Vec<Request>>,
     ) -> Result<(Vec<TaggedCompletion>, Vec<HostStats>, u64), ClusterError> {
         let mut per_host_requests: Vec<Vec<TaggedRequest>> = vec![Vec::new(); self.hosts.len()];
@@ -853,7 +857,7 @@ impl Cluster {
 
         let mut completed = Vec::new();
         let mut per_host = Vec::with_capacity(self.hosts.len());
-        let mut final_tick = 0;
+        let mut final_tick = first_arrival_tick;
         for (host, substream) in self.hosts.iter_mut().zip(per_host_requests) {
             let empty = substream.is_empty();
             let (report, stray) = host.serve_traffic_inner(

@@ -8,7 +8,7 @@
 //! [`KIND_BLOCKED`](permdnn_core::snapshot::KIND_BLOCKED) container's
 //! metadata sections, with one vacant weight **slot** per linear stage. The
 //! registry faults blocks into slots (decoding exactly one block's bytes per
-//! fault, via [`extract_block`](permdnn_core::snapshot::extract_block)) and
+//! fault, via [`load_block`](permdnn_core::snapshot::load_block)) and
 //! evicts cold slots to stay under its byte budget; the slot's operator is
 //! executed through the *same* `exec.matmul` + bias-row arithmetic the
 //! whole-loaded model uses, so paged outputs are bit-identical to
@@ -36,7 +36,7 @@ pub type PagedModelLoader = Box<dyn Fn(&[u8]) -> Result<PagedModel, SnapshotErro
 pub struct PagedConfig {
     /// Builds skeletons from blocked snapshots.
     pub loader: PagedModelLoader,
-    /// Decodes one extracted block into its operator.
+    /// Decodes one faulted block into its operator.
     pub codec: SnapshotCodec,
     /// Converts faulted bytes into engine ticks.
     pub paging: PagingModel,

@@ -35,20 +35,20 @@
 //! snapshots ([`KIND_BLOCKED`]) load as metadata-sized *skeletons*
 //! ([`PagedModel`]) and the LRU byte budget is enforced at weight-*block*
 //! granularity. Before a batch executes, the registry faults in exactly the
-//! blocks that batch's model needs (each decoded standalone via
-//! [`extract_block`], never touching the rest of the container), a
-//! deterministic prefetch hook pages the *next* scheduled batch's model in
-//! the idle gap, and eviction drops cold blocks, not whole models. Faults
-//! are charged ticks by a [`PagingModel`], so a model whose weights exceed
-//! `budget_bytes` serves correctly — just slower — with outputs bit-identical
-//! to an unlimited-budget whole-load run.
+//! blocks that batch's model needs (each checked against its stored CRC and
+//! decoded in place via [`load_block`], never touching the rest of the
+//! container), a deterministic prefetch hook pages the *next* scheduled
+//! batch's model in the idle gap, and eviction drops cold blocks, not whole
+//! models. Faults are charged ticks by a [`PagingModel`], so a model whose
+//! weights exceed `budget_bytes` serves correctly — just slower — with
+//! outputs bit-identical to an unlimited-budget whole-load run.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pd_tensor::Matrix;
 use permdnn_core::format::{BatchView, FormatError};
-use permdnn_core::snapshot::{extract_block, load_tensor, peek_kind, SnapshotError, KIND_BLOCKED};
+use permdnn_core::snapshot::{load_block, peek_kind, SnapshotError, KIND_BLOCKED};
 
 use crate::executor::ParallelExecutor;
 use crate::paging::{PagedConfig, PagedModel, PagingModel};
@@ -870,8 +870,9 @@ impl ModelRegistry {
 
     /// Ensures stage `s` of paged model `id` is resident, returning the
     /// modeled ticks the fault cost (0 if it was already resident or is a
-    /// never-paged stage). Decodes exactly that stage's block — CRC-checked
-    /// standalone, the rest of the container untouched.
+    /// never-paged stage). Decodes exactly that stage's block in place after
+    /// one check against its stored CRC — the rest of the container
+    /// untouched.
     fn fault_stage(&mut self, id: &str, s: usize) -> Result<u64, RegistryError> {
         let (model, snapshot) = {
             let entry = self.entries.get(id).expect("fault callers check the id");
@@ -889,9 +890,8 @@ impl ModelRegistry {
             self.make_room_for(bytes);
             let (op, ticks) = {
                 let paged = self.paged.as_ref().expect("paged entries imply paged mode");
-                let record = extract_block(&snapshot, block)?;
                 (
-                    load_tensor(&record, &paged.codec)?,
+                    load_block(&snapshot, block, &paged.codec)?,
                     paged.paging.fault_ticks(bytes),
                 )
             };
@@ -1702,7 +1702,7 @@ mod tests {
                 .ok_or_else(|| SnapshotError::MissingSection {
                     name: "tensor".to_string(),
                 })?;
-            let op = load_tensor(&extract_block(bytes, k)?, &SnapshotCodec::new())?;
+            let op = load_block(bytes, k, &SnapshotCodec::new())?;
             PagedModel::new(vec![PagedStage::linear(
                 k,
                 index.blocks[k].len,

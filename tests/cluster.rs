@@ -272,6 +272,44 @@ fn one_replica_reproduces_the_single_host_report_exactly() {
     }
 }
 
+#[test]
+fn replicated_run_that_sheds_everything_has_zero_makespan() {
+    // Regression: a replicated run with nothing admitted seeded its final
+    // tick at 0, so a stream starting after tick 0 computed
+    // `final_tick - first_arrival_tick` below zero — a debug-build panic and
+    // a wrapped makespan in release.
+    let stream: Vec<TaggedRequest> = UniformProcess::new(256, 4.0)
+        .unwrap()
+        .stream(0xE1, 12)
+        .into_iter()
+        .map(|mut request| {
+            request.arrival_tick += 1_000;
+            TaggedRequest {
+                model_id: "bulk".to_string(),
+                request,
+            }
+        })
+        .collect();
+    let mut cluster = Cluster::replicated(loaders(3), RoutingPolicy::HashModulo, u64::MAX).unwrap();
+    // A 1-tick deadline no 256-wide PD batch can meet: admission sheds all.
+    let slo = SloTarget::new(1, 0, 16).unwrap();
+    cluster
+        .insert("bulk", pd_snapshot(256, 256, 0xF3), Some(slo))
+        .unwrap();
+    let report = cluster
+        .serve_traffic(
+            &ParallelExecutor::new(2),
+            &TrafficConfig::new(serve_cfg(), AdmissionPolicy::Fifo),
+            stream,
+        )
+        .unwrap();
+    assert!(report.completed.is_empty());
+    assert_eq!(report.rejections.len(), 12);
+    assert!(report.first_arrival_tick >= 1_000);
+    assert_eq!(report.makespan_ticks(), 0);
+    assert_eq!(report.requests_per_sec(1e6), 0.0);
+}
+
 // ---------------------------------------------------------------------------
 // 2. Every generator × policy × topology.
 // ---------------------------------------------------------------------------

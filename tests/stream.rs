@@ -4,6 +4,8 @@
 //! 1. **Corruption safety.** Truncating a blocked container at any byte, or
 //!    flipping any single bit, makes the paged loader return a typed
 //!    [`SnapshotError`] — never a panic, never a silently different model.
+//!    Faulting single blocks in with `load_block` is held to the same
+//!    contract, and a flip inside one block fails only that block's CRC.
 //! 2. **Paged ≡ whole.** For every arrival generator × admission policy ×
 //!    worker count in {1, 2, 3, 7}, a registry paging blocks through a tight
 //!    budget serves outputs, batch membership and order bit-identical to an
@@ -13,9 +15,9 @@
 //!    cache budget still completes a Zipf-mix run bit-identically, with peak
 //!    resident weight bytes pinned to `budget + max_block`.
 
-use permdnn::core::snapshot::{block_stream_snapshot, read_block_index, SnapshotError};
+use permdnn::core::snapshot::{block_stream_snapshot, load_block, read_block_index, SnapshotError};
 use permdnn::nn::layers::WeightFormat;
-use permdnn::nn::snapshot::{batch_model_loader, load_paged_model, paged_config};
+use permdnn::nn::snapshot::{batch_model_loader, codec, load_paged_model, paged_config};
 use permdnn::nn::MlpClassifier;
 use permdnn::runtime::{
     interleave_streams, AdmissionPolicy, BatchConfig, ModelRegistry, OnOffFlashCrowd,
@@ -76,22 +78,32 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     // Truncation at every prefix length is a typed error; only the full
-    // container loads.
+    // container loads, and no block of a truncated one faults in.
     #[test]
     fn truncated_blocked_containers_are_typed_errors(cut_frac in 0.0f64..1.0, seed in 0u64..50) {
         let blocked = block_stream_snapshot(&mlp_snapshot(seed % 3)).unwrap();
+        let blocks = read_block_index(&blocked).unwrap().len();
         // Clamp instead of assuming: every cut strictly inside the container.
         let cut = ((cut_frac * blocked.len() as f64) as usize).min(blocked.len() - 1);
         // The Err type is SnapshotError by signature: typed, never a panic.
         let err: Result<_, SnapshotError> = load_paged_model(&blocked[..cut]);
         prop_assert!(err.is_err(), "cut at {cut}/{} must not load", blocked.len());
+        for k in 0..=blocks {
+            prop_assert!(
+                load_block(&blocked[..cut], k, &codec()).is_err(),
+                "cut at {cut}/{}: block {k} must not fault in", blocked.len()
+            );
+        }
     }
 
     // Any single flipped bit is caught by the header checks, the index CRC,
     // the per-section CRCs, or the graph validation — typed error, no panic.
+    // Faulting blocks one at a time: a flip inside block k's payload is
+    // block k's checksum mismatch and leaves every other block loadable.
     #[test]
     fn bit_flips_in_blocked_containers_are_typed_errors(pos_frac in 0.0f64..1.0, bit in 0u8..8) {
         let mut blocked = block_stream_snapshot(&mlp_snapshot(0)).unwrap();
+        let index = read_block_index(&blocked).unwrap();
         let pos = ((pos_frac * blocked.len() as f64) as usize).min(blocked.len() - 1);
         blocked[pos] ^= 1 << bit;
         let loaded = load_paged_model(&blocked);
@@ -99,20 +111,54 @@ proptest! {
             loaded.is_err(),
             "flip of bit {bit} at byte {pos} must be detected"
         );
+        let hit = index
+            .blocks
+            .iter()
+            .position(|e| (e.offset..e.offset + e.len).contains(&(pos as u64)));
+        for k in 0..=index.len() {
+            // Elsewhere (header, index, metadata) a fault is Ok or a typed
+            // error; only a flip inside a block pins down which.
+            let fault = load_block(&blocked, k, &codec());
+            match hit {
+                Some(h) if k == h => prop_assert!(
+                    matches!(
+                        &fault,
+                        Err(SnapshotError::ChecksumMismatch { section, .. })
+                            if *section == index.blocks[h].name
+                    ),
+                    "flip at byte {pos} in block {h}: got {:?}",
+                    fault.as_ref().err()
+                ),
+                Some(_) if k == index.len() => prop_assert!(
+                    matches!(fault, Err(SnapshotError::MissingSection { .. })),
+                    "block {k} is past the index's {} blocks", index.len()
+                ),
+                Some(h) => prop_assert!(
+                    fault.is_ok(),
+                    "flip in block {h} must not affect block {k}: {:?}",
+                    fault.as_ref().err()
+                ),
+                None => {}
+            }
+        }
     }
 
     // Block extraction bounds survive a corrupted index: whatever the index
-    // claims, reading it back is Ok or a typed error, never a panic or an
-    // out-of-bounds slice.
+    // claims, reading it back or faulting any block in is Ok or a typed
+    // error, never a panic or an out-of-bounds slice.
     #[test]
     fn corrupt_index_entries_never_escape_bounds(pos_frac in 0.0f64..1.0, byte in 0u8..=255u8) {
         let mut blocked = block_stream_snapshot(&mlp_snapshot(1)).unwrap();
+        let blocks = read_block_index(&blocked).unwrap().len();
         // Overwrite a byte inside the leading index section specifically.
         let index_span = 16 + 2 + "block_index".len() + 64;
         let pos = ((pos_frac * index_span as f64) as usize).min(blocked.len() - 1);
         blocked[pos] = byte;
         let _ = read_block_index(&blocked).map(|ix| ix.blocks.len());
         let _ = load_paged_model(&blocked);
+        for k in 0..=blocks {
+            let _ = load_block(&blocked, k, &codec());
+        }
     }
 }
 
