@@ -25,15 +25,17 @@
 //! **The invariant that makes this a serving layer and not a toy:** served
 //! outputs are bit-identical to the single-host run for any (replicas,
 //! shards, pipeline depth, worker count). Admission and batch ordering are
-//! decided *globally*, before any topology-specific dispatch, by the same
-//! reference-timeline machinery `serve_traffic` uses — whole-model
-//! [`RefCost`] at [`TrafficConfig::reference_workers`] — so the shed set and
-//! the execution order are pure functions of the offered streams and the
-//! policy, never of the topology or the executing worker count. Per-request
-//! outputs are batch-composition-independent (each example's forward pass
-//! reads only its own row of the batch), which is why per-host batching
-//! cannot perturb them. Only completion *ticks* change with the topology —
-//! that is the speedup being bought.
+//! decided *globally*, before any topology-specific dispatch, by the one
+//! [`schedule`](crate::slo) pass `serve_traffic` uses, on the whole-model
+//! cost at the reference worker count — so the shed set and the execution
+//! order are pure functions of the offered streams and the policy, never of
+//! the topology or the executing worker count. Every topology only executes
+//! that schedule: row-sharded and pipeline hosts run its batches in its
+//! order, and replicated hosts re-schedule their routed substream with
+//! shedding off. Per-request outputs are batch-composition-independent (each
+//! example's forward pass reads only its own row of the batch), which is why
+//! per-host batching cannot perturb them. Only completion *ticks* change with
+//! the topology — that is the speedup being bought.
 //!
 //! [`ClusterReport`] aggregates the per-host serving reports into
 //! cluster-level SLO attainment with the same [`SloTally`] accounting the
@@ -50,10 +52,11 @@ use crate::executor::ParallelExecutor;
 use crate::registry::{
     ModelLoader, ModelRegistry, RegistryError, RegistryStats, TaggedCompletion, TaggedRequest,
 };
-use crate::serve::{percentile_of_sorted, plan_batches, BatchModel, CompletedRequest, Request};
+use crate::serve::{
+    latency_percentiles, makespan, per_second, BatchModel, CompletedRequest, ServeConfig,
+};
 use crate::slo::{
-    admit_stream, order_batches, RefCost, Rejection, ScheduledBatch, SloTally, SloTarget,
-    TrafficConfig,
+    schedule, ModelCost, Rejection, ScheduledBatch, SloTally, SloTarget, TrafficConfig,
 };
 
 /// Errors from cluster operations.
@@ -244,14 +247,7 @@ pub struct ClusterReport {
 impl ClusterReport {
     /// Aggregate SLO tallies across every model.
     pub fn totals(&self) -> SloTally {
-        let mut total = SloTally::default();
-        for tally in self.per_model_slo.values() {
-            total.offered += tally.offered;
-            total.met += tally.met;
-            total.missed += tally.missed;
-            total.shed += tally.shed;
-        }
-        total
+        self.per_model_slo.values().sum()
     }
 
     /// Requests offered across every model (admitted + shed).
@@ -272,16 +268,12 @@ impl ClusterReport {
     /// Total simulated serving time in ticks (0 when nothing was served
     /// after the first arrival).
     pub fn makespan_ticks(&self) -> u64 {
-        self.final_tick.saturating_sub(self.first_arrival_tick)
+        makespan(self.first_arrival_tick, self.final_tick)
     }
 
     /// Requests served per second at a nominal tick rate of `tick_hz`.
     pub fn requests_per_sec(&self, tick_hz: f64) -> f64 {
-        let ticks = self.makespan_ticks();
-        if ticks == 0 {
-            return 0.0;
-        }
-        self.completed.len() as f64 / (ticks as f64 / tick_hz)
+        per_second(self.completed.len(), self.makespan_ticks(), tick_hz)
     }
 
     /// Latency percentile in ticks across every served request (`q` in
@@ -292,15 +284,8 @@ impl ClusterReport {
 
     /// Several latency percentiles from one sort of the completion list.
     pub fn latency_percentiles_ticks(&self, qs: &[f64]) -> Vec<u64> {
-        let mut latencies: Vec<u64> = self
-            .completed
-            .iter()
-            .map(|tc| tc.completed.latency_ticks())
-            .collect();
-        latencies.sort_unstable();
-        qs.iter()
-            .map(|&q| percentile_of_sorted(&latencies, q))
-            .collect()
+        let latencies = self.completed.iter().map(|tc| tc.completed.latency_ticks());
+        latency_percentiles(latencies, qs)
     }
 }
 
@@ -690,14 +675,14 @@ impl Cluster {
     /// admission control and a scheduling policy.
     ///
     /// Admission, batch formation and batch ordering run **globally** with
-    /// the whole-model cost at [`TrafficConfig::reference_workers`] — the
-    /// identical computation [`ModelRegistry::serve_traffic`] performs — so
-    /// the shed set and execution order match the single-host run exactly,
-    /// for every topology. Dispatch then follows the topology: replicated
-    /// hosts serve disjoint routed substreams on independent timelines;
-    /// row-sharded hosts run every batch in lockstep (a batch completes when
-    /// the slowest slice does); pipeline hosts overlap consecutive batches
-    /// stage-by-stage with `link_ticks` per hop.
+    /// the whole-model cost at the reference worker count — the one schedule
+    /// [`ModelRegistry::serve_traffic`] computes — so the shed set and
+    /// execution order match the single-host run exactly, for every
+    /// topology. Dispatch then follows the topology: replicated hosts serve
+    /// disjoint routed substreams on independent timelines; row-sharded hosts
+    /// run every batch in lockstep (a batch completes when the slowest slice
+    /// does); pipeline hosts overlap consecutive batches stage-by-stage with
+    /// `link_ticks` per hop.
     ///
     /// `requests` must be sorted by arrival tick
     /// ([`interleave_streams`](crate::interleave_streams) produces this
@@ -714,114 +699,38 @@ impl Cluster {
         cfg: &TrafficConfig,
         requests: Vec<TaggedRequest>,
     ) -> Result<ClusterReport, ClusterError> {
-        let reference_workers = cfg.reference_workers.max(1);
-        let first_arrival_tick = requests
-            .iter()
-            .map(|r| r.request.arrival_tick)
-            .min()
-            .unwrap_or(0);
-
-        // Route per model, preserving arrival order within each stream.
-        let mut offered: BTreeMap<String, usize> = BTreeMap::new();
-        let mut per_model: BTreeMap<String, Vec<Request>> = BTreeMap::new();
-        for r in requests {
-            if !self.models.contains_key(&r.model_id) {
-                return Err(ClusterError::UnknownModel { id: r.model_id });
-            }
-            *offered.entry(r.model_id.clone()).or_default() += 1;
-            per_model.entry(r.model_id).or_default().push(r.request);
-        }
-
-        // Global admission on the whole-model reference cost: the shed set
-        // is decided before any host or topology enters the picture.
-        let mut rejections: Vec<Rejection> = Vec::new();
-        let mut admitted: BTreeMap<String, Vec<Request>> = BTreeMap::new();
-        for (id, stream) in per_model {
-            let meta = &self.models[&id];
-            let stream = if meta.slo.is_some() {
-                let ref_cost = RefCost::new(
-                    &cfg.serve.service,
-                    meta.mul_count,
-                    cfg.serve.batching.max_batch,
-                    reference_workers,
-                );
-                admit_stream(
-                    &id,
-                    stream,
-                    cfg.serve.batching,
-                    meta.slo,
-                    &ref_cost,
-                    &mut rejections,
-                )
-            } else {
-                stream
-            };
-            admitted.insert(id, stream);
-        }
-        rejections.sort_by(|a, b| {
-            (a.tick, &a.model, a.request_id).cmp(&(b.tick, &b.model, b.request_id))
-        });
-
+        let model = |id: &str| {
+            let meta = self.models.get(id)?;
+            Some(ModelCost {
+                mul_count: meta.mul_count,
+                slo: meta.slo,
+            })
+        };
+        let mut schedule = schedule(requests, model, &cfg.serve, cfg.policy, true)
+            .map_err(|id| ClusterError::UnknownModel { id })?;
+        let first_arrival_tick = schedule.first_arrival_tick;
+        let batches = std::mem::take(&mut schedule.batches);
         let (mut completed, per_host, final_tick) = match self.topology {
             ClusterTopology::Replicated { .. } => {
-                self.run_replicated(exec, cfg, reference_workers, first_arrival_tick, admitted)?
+                self.run_replicated(exec, cfg, first_arrival_tick, batches)?
             }
-            ClusterTopology::RowSharded { .. } => self.run_lockstep(
-                exec,
-                cfg,
-                reference_workers,
-                first_arrival_tick,
-                admitted,
-                None,
-            )?,
+            ClusterTopology::RowSharded { .. } => {
+                self.run_lockstep(exec, &cfg.serve, first_arrival_tick, batches, None)?
+            }
             ClusterTopology::Pipeline { link_ticks, .. } => self.run_lockstep(
                 exec,
-                cfg,
-                reference_workers,
+                &cfg.serve,
                 first_arrival_tick,
-                admitted,
+                batches,
                 Some(link_ticks),
             )?,
         };
 
         completed.sort_by(|a, b| (&a.model_id, a.completed.id).cmp(&(&b.model_id, b.completed.id)));
-
-        // Cluster-level SLO accounting, same tally semantics as single-host.
-        let mut per_model_slo: BTreeMap<String, SloTally> = offered
-            .into_iter()
-            .map(|(id, offered)| {
-                (
-                    id,
-                    SloTally {
-                        offered,
-                        ..SloTally::default()
-                    },
-                )
-            })
-            .collect();
-        for r in &rejections {
-            per_model_slo
-                .get_mut(&r.model)
-                .expect("rejections come from offered models")
-                .shed += 1;
-        }
-        for tc in &completed {
-            let deadline = self.models[&tc.model_id]
-                .slo
-                .map_or(u64::MAX, |s| s.deadline_ticks);
-            let tally = per_model_slo
-                .get_mut(&tc.model_id)
-                .expect("completions come from offered models");
-            if tc.completed.latency_ticks() <= deadline {
-                tally.met += 1;
-            } else {
-                tally.missed += 1;
-            }
-        }
-
+        let per_model_slo = schedule.slo_tallies(&completed, |id| self.models[id].slo);
         Ok(ClusterReport {
             completed,
-            rejections,
+            rejections: schedule.rejections,
             per_host,
             per_model_slo,
             final_tick,
@@ -830,26 +739,27 @@ impl Cluster {
         })
     }
 
-    /// Replicated dispatch: split the admitted streams by routing hash and
-    /// run each host's substream through the registry serving loop
-    /// (admission already done, so `shed = false`). The final tick is
-    /// seeded at the stream start, as in `run_lockstep`, so a
-    /// run where admission shed everything has a zero makespan.
+    /// Replicated dispatch: rebuild each model's admitted stream from its
+    /// batches in plan order, split it by routing hash, and let each host
+    /// re-schedule and serve its substream (admission already done, so no
+    /// shedding). The final tick is seeded at the stream start, as in
+    /// `run_lockstep`, so a run where admission shed everything has a zero
+    /// makespan.
     #[allow(clippy::type_complexity)]
     fn run_replicated(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &TrafficConfig,
-        reference_workers: usize,
         first_arrival_tick: u64,
-        admitted: BTreeMap<String, Vec<Request>>,
+        mut batches: Vec<ScheduledBatch>,
     ) -> Result<(Vec<TaggedCompletion>, Vec<HostStats>, u64), ClusterError> {
+        batches.sort_by(|a, b| (&a.model_id, a.seq).cmp(&(&b.model_id, b.seq)));
         let mut per_host_requests: Vec<Vec<TaggedRequest>> = vec![Vec::new(); self.hosts.len()];
-        for (id, stream) in admitted {
-            for request in stream {
-                let host = self.route(&id, request.id);
+        for batch in batches {
+            for request in batch.requests {
+                let host = self.route(&batch.model_id, request.id);
                 per_host_requests[host].push(TaggedRequest {
-                    model_id: id.clone(),
+                    model_id: batch.model_id.clone(),
                     request,
                 });
             }
@@ -860,15 +770,7 @@ impl Cluster {
         let mut final_tick = first_arrival_tick;
         for (host, substream) in self.hosts.iter_mut().zip(per_host_requests) {
             let empty = substream.is_empty();
-            let (report, stray) = host.serve_traffic_inner(
-                exec,
-                &cfg.serve,
-                cfg.policy,
-                reference_workers,
-                false,
-                substream,
-            )?;
-            debug_assert!(stray.is_empty(), "shed=false cannot reject");
+            let report = host.serve_admitted(exec, &cfg.serve, cfg.policy, substream)?;
             let mut stats = HostStats {
                 registry: report.stats,
                 ..HostStats::default()
@@ -888,57 +790,21 @@ impl Cluster {
     }
 
     /// Row-sharded (`link_ticks == None`) and pipeline (`Some`) dispatch:
-    /// one global batch plan and one global order — the same plan/order a
-    /// single host would compute — executed with every host participating in
-    /// every batch.
+    /// the global schedule's batches, in its order, executed with every host
+    /// participating in every batch.
     #[allow(clippy::type_complexity)]
     fn run_lockstep(
         &mut self,
         exec: &ParallelExecutor,
-        cfg: &TrafficConfig,
-        reference_workers: usize,
+        cfg: &ServeConfig,
         first_arrival_tick: u64,
-        admitted: BTreeMap<String, Vec<Request>>,
+        batches: Vec<ScheduledBatch>,
         link_ticks: Option<u64>,
     ) -> Result<(Vec<TaggedCompletion>, Vec<HostStats>, u64), ClusterError> {
-        use crate::serve::PlannedBatch;
-
-        // Per-model batch plans + one merged order on the reference
-        // timeline, exactly as the single-host loop computes them.
-        let mut metas: Vec<ScheduledBatch> = Vec::new();
-        let mut batches: Vec<Option<PlannedBatch>> = Vec::new();
-        for (id, stream) in admitted {
-            let meta = &self.models[&id];
-            let (slo, mul_count) = (meta.slo, meta.mul_count);
-            for (seq, plan) in plan_batches(stream, cfg.serve.batching)
-                .into_iter()
-                .enumerate()
-            {
-                let deadline_tick = match (slo, plan.requests.first()) {
-                    (Some(slo), Some(first)) => {
-                        first.arrival_tick.saturating_add(slo.deadline_ticks)
-                    }
-                    _ => u64::MAX,
-                };
-                metas.push(ScheduledBatch {
-                    close_tick: plan.close_tick,
-                    priority: slo.map_or(0, |s| s.priority),
-                    deadline_tick,
-                    ref_ticks: cfg
-                        .serve
-                        .service
-                        .batch_ticks(mul_count * plan.requests.len() as u64, reference_workers),
-                    model_id: id.clone(),
-                    seq,
-                });
-                batches.push(Some(plan));
-            }
-        }
-        let order = order_batches(cfg.policy, &metas);
-
         let hosts = self.hosts.len();
         let mut per_host = vec![HostStats::default(); hosts];
-        let registry_before: Vec<RegistryStats> = self.hosts.iter().map(|h| h.stats()).collect();
+        let registry_before: Vec<RegistryStats> =
+            self.hosts.iter_mut().map(|h| h.begin_run()).collect();
         // Row-sharded hosts share one engine timeline (lockstep); pipeline
         // hosts each own a stage timeline, seeded at the stream start.
         let mut stage_free = vec![first_arrival_tick; hosts];
@@ -946,11 +812,16 @@ impl Cluster {
         let mut completed = Vec::new();
         let mut input: Vec<f32> = Vec::new();
         let mut stage_out = Matrix::zeros(0, 0);
-        for idx in order {
-            let plan = batches[idx].take().expect("each batch executes once");
-            let id = metas[idx].model_id.clone();
+        for plan in batches {
+            let id = plan.model_id;
             let meta = self.models[&id].clone();
             let batch = plan.requests.len();
+            let part_ticks = |k: usize| {
+                cfg.service.batch_ticks(
+                    meta.part_muls[k].saturating_mul(batch as u64),
+                    exec.workers(),
+                )
+            };
 
             input.clear();
             for request in &plan.requests {
@@ -976,17 +847,14 @@ impl Cluster {
                             let dst = i * meta.out_dim + row_off;
                             full[dst..dst + width].copy_from_slice(stage_out.row(i));
                         }
-                        let ticks = cfg
-                            .serve
-                            .service
-                            .batch_ticks(meta.part_muls[k] * batch as u64, exec.workers());
+                        let ticks = part_ticks(k);
                         host_stats.served += batch;
                         host_stats.batches += 1;
                         host_stats.busy_ticks += ticks;
                         slowest = slowest.max(ticks);
                         row_off += width;
                     }
-                    let completion = start + slowest;
+                    let completion = start.saturating_add(slowest);
                     stage_free.fill(completion);
                     input.clear();
                     input.extend_from_slice(&full);
@@ -1007,14 +875,11 @@ impl Cluster {
                         input.extend_from_slice(stage_out.as_slice());
                         cur_dim = meta.part_out_dims[k];
 
-                        let ticks = cfg
-                            .serve
-                            .service
-                            .batch_ticks(meta.part_muls[k] * batch as u64, exec.workers());
+                        let ticks = part_ticks(k);
                         let start = ready.max(stage_free[k]);
-                        end = start + ticks;
+                        end = start.saturating_add(ticks);
                         stage_free[k] = end;
-                        ready = end + link;
+                        ready = end.saturating_add(link);
                         per_host[k].served += batch;
                         per_host[k].batches += 1;
                         per_host[k].busy_ticks += ticks;
@@ -1037,17 +902,8 @@ impl Cluster {
                 });
             }
         }
-        for (k, stats) in per_host.iter_mut().enumerate() {
-            let (b, a) = (registry_before[k], self.hosts[k].stats());
-            stats.registry = RegistryStats {
-                loads: a.loads - b.loads,
-                reloads: a.reloads - b.reloads,
-                evictions: a.evictions - b.evictions,
-                swaps: a.swaps - b.swaps,
-                blocks_faulted: a.blocks_faulted - b.blocks_faulted,
-                bytes_faulted: a.bytes_faulted - b.bytes_faulted,
-                peak_resident_bytes: a.peak_resident_bytes,
-            };
+        for ((stats, host), before) in per_host.iter_mut().zip(&self.hosts).zip(registry_before) {
+            stats.registry = host.run_stats(before);
         }
         Ok((completed, per_host, final_tick))
     }
@@ -1056,7 +912,8 @@ impl Cluster {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::serve::SingleLayerModel;
+    use crate::serve::{BatchConfig, Request, ServiceModel, SingleLayerModel};
+    use crate::slo::AdmissionPolicy;
     use permdnn_core::snapshot::{load_tensor, save_tensor, SnapshotCodec};
     use permdnn_core::BlockPermDiagMatrix;
 
@@ -1166,6 +1023,63 @@ mod tests {
         pipe.insert_stages("m", vec![pd_snapshot(8, 1), pd_snapshot(8, 2)], None)
             .unwrap();
         assert_eq!(pipe.ids(), vec!["m".to_string()]);
+    }
+
+    #[test]
+    fn every_topology_reports_each_hosts_peak_of_this_run() {
+        // Regression: row-sharded and pipeline hosts reported their lifetime
+        // peak, which still counted a model removed before the run.
+        let cfg = TrafficConfig::new(
+            ServeConfig {
+                batching: BatchConfig::new(4, 2),
+                service: ServiceModel::default(),
+            },
+            AdmissionPolicy::Fifo,
+        );
+        let stream: Vec<TaggedRequest> = (0..6)
+            .map(|i| TaggedRequest {
+                model_id: "b".to_string(),
+                request: Request {
+                    id: i,
+                    arrival_tick: i,
+                    input: vec![0.5; 8],
+                },
+            })
+            .collect();
+        let clusters = [
+            Cluster::replicated(loaders(2), RoutingPolicy::HashModulo, u64::MAX).unwrap(),
+            Cluster::row_sharded(loaders(2), u64::MAX).unwrap(),
+            Cluster::pipeline(loaders(2), 3, u64::MAX).unwrap(),
+        ];
+        for mut cluster in clusters {
+            for (id, seed) in [("a", 1), ("b", 3)] {
+                match cluster.topology() {
+                    ClusterTopology::Pipeline { .. } => cluster.insert_stages(
+                        id,
+                        vec![pd_snapshot(8, seed), pd_snapshot(8, seed + 1)],
+                        None,
+                    ),
+                    _ => cluster.insert(id, pd_snapshot(8, seed), None),
+                }
+                .unwrap();
+            }
+            cluster.remove("a");
+            let report = cluster
+                .serve_traffic(&ParallelExecutor::sequential(), &cfg, stream.clone())
+                .unwrap();
+            assert_eq!(report.completed.len(), stream.len());
+            let peaks: Vec<u64> = report
+                .per_host
+                .iter()
+                .map(|h| h.registry.peak_resident_bytes)
+                .collect();
+            assert_eq!(
+                peaks,
+                cluster.host_loaded_bytes(),
+                "{:?}: only `b` is resident during the run",
+                cluster.topology()
+            );
+        }
     }
 
     #[test]

@@ -26,7 +26,10 @@
 //!   generators ([`UniformProcess`], [`PoissonBurst`], [`OnOffFlashCrowd`],
 //!   [`ZipfMix`]), per-model [`SloTarget`]s, and admission control + policy-
 //!   driven batch ordering ([`ModelRegistry::serve_traffic`]) whose decisions
-//!   are bit-identical for any worker count.
+//!   are bit-identical for any worker count. Routing, admission, batch
+//!   planning and ordering are one pure scheduling pass in [`slo`], and one
+//!   schedule feeds every serving loop: the registry's and each cluster
+//!   topology's only execute it.
 //! * [`cluster`] — scale-out across simulated hosts: replicated registries
 //!   behind deterministic hash/rendezvous routing, row-sharded tensors
 //!   (each host loads only its slice's snapshot bytes), and layer pipelines

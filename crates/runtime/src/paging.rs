@@ -77,7 +77,8 @@ impl Default for PagingModel {
 impl PagingModel {
     /// Ticks one fault of `bytes` costs.
     pub fn fault_ticks(&self, bytes: u64) -> u64 {
-        self.fault_overhead_ticks + bytes.div_ceil(self.bytes_per_tick.max(1))
+        self.fault_overhead_ticks
+            .saturating_add(bytes.div_ceil(self.bytes_per_tick.max(1)))
     }
 }
 

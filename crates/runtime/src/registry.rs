@@ -15,20 +15,21 @@
 //!
 //! Serving ([`ModelRegistry::serve_multi`]) keeps the determinism contract of
 //! [`serve`](crate::serve): per-model batch formation is a pure function of
-//! each model's arrival stream and the [`BatchConfig`]; the merged execution
-//! order is a pure function of the batch plans (close tick, then model id);
-//! and outputs are bit-for-bit identical for any worker count. Hot swaps
-//! ([`ModelRegistry::schedule_swap`]) apply *between* batches at a declared
-//! tick, so a swap can never tear a batch.
+//! each model's arrival stream and the [`BatchConfig`](crate::BatchConfig);
+//! the merged execution order is a pure function of the batch plans (close
+//! tick, then model id); and outputs are bit-for-bit identical for any worker
+//! count. Hot swaps ([`ModelRegistry::schedule_swap`]) apply *between*
+//! batches at a declared tick, so a swap can never tear a batch.
 //!
 //! [`ModelRegistry::serve_traffic`] layers SLO-aware serving on the same
 //! datapath: models carry a [`SloTarget`] (attached at
 //! [`ModelRegistry::insert_with_slo`]), over-budget arrivals are shed with a
-//! typed [`Rejection`] before batch formation, and the merged batch plans
+//! typed [`Rejection`] inside batch formation, and the merged batch plans
 //! execute under an [`AdmissionPolicy`] (`Fifo` / `Priority` /
 //! `EarliestDeadline`) decided on a reference timeline — so admission and
-//! ordering stay bit-identical across worker counts too. `serve_multi` is the
-//! `Fifo`, no-shedding special case of the same loop.
+//! ordering stay bit-identical across worker counts too. Both calls run the
+//! one [`schedule`](crate::slo) pass and only execute its result;
+//! `serve_multi` is its `Fifo`, no-shedding case.
 //!
 //! A registry built with [`ModelRegistry::new_paged`] runs in
 //! [`ResidencyMode::Paged`] — "Memory-Efficient mode": block-streamed
@@ -53,11 +54,11 @@ use permdnn_core::snapshot::{load_block, peek_kind, SnapshotError, KIND_BLOCKED}
 use crate::executor::ParallelExecutor;
 use crate::paging::{PagedConfig, PagedModel, PagingModel};
 use crate::serve::{
-    plan_batches, BatchModel, CompletedRequest, PlannedBatch, Request, ServeConfig,
+    latency_percentiles, makespan, per_second, BatchModel, CompletedRequest, Request, ServeConfig,
 };
 use crate::slo::{
-    admit_stream, order_batches, AdmissionPolicy, RefCost, Rejection, ScheduledBatch, SloTally,
-    SloTarget, TrafficConfig,
+    schedule, AdmissionPolicy, ModelCost, Rejection, Schedule, ScheduledBatch, SloTally, SloTarget,
+    TrafficConfig,
 };
 
 /// Rebuilds a servable model from snapshot bytes. Injected into
@@ -293,16 +294,12 @@ pub struct MultiServeReport {
 impl MultiServeReport {
     /// Total simulated serving time in ticks.
     pub fn makespan_ticks(&self) -> u64 {
-        self.final_tick - self.first_arrival_tick
+        makespan(self.first_arrival_tick, self.final_tick)
     }
 
     /// Requests served per second at a nominal tick rate of `tick_hz`.
     pub fn requests_per_sec(&self, tick_hz: f64) -> f64 {
-        let ticks = self.makespan_ticks();
-        if ticks == 0 {
-            return 0.0;
-        }
-        self.completed.len() as f64 / (ticks as f64 / tick_hz)
+        per_second(self.completed.len(), self.makespan_ticks(), tick_hz)
     }
 
     /// Latency percentile in ticks across every served request (`q` in
@@ -316,15 +313,8 @@ impl MultiServeReport {
     /// p50/p95/p99 triple every bench sweep reads. Each value is bit-identical
     /// to the corresponding [`Self::latency_percentile_ticks`] call.
     pub fn latency_percentiles_ticks(&self, qs: &[f64]) -> Vec<u64> {
-        let mut latencies: Vec<u64> = self
-            .completed
-            .iter()
-            .map(|tc| tc.completed.latency_ticks())
-            .collect();
-        latencies.sort_unstable();
-        qs.iter()
-            .map(|&q| crate::serve::percentile_of_sorted(&latencies, q))
-            .collect()
+        let latencies = self.completed.iter().map(|tc| tc.completed.latency_ticks());
+        latency_percentiles(latencies, qs)
     }
 }
 
@@ -344,14 +334,7 @@ pub struct TrafficReport {
 impl TrafficReport {
     /// Aggregate SLO tallies across every model.
     pub fn totals(&self) -> SloTally {
-        let mut total = SloTally::default();
-        for tally in self.per_model_slo.values() {
-            total.offered += tally.offered;
-            total.met += tally.met;
-            total.missed += tally.missed;
-            total.shed += tally.shed;
-        }
-        total
+        self.per_model_slo.values().sum()
     }
 
     /// Requests offered across every model (admitted + shed).
@@ -406,6 +389,9 @@ pub struct ModelRegistry {
     loaded_bytes: u64,
     clock: u64,
     stats: RegistryStats,
+    /// Resident-byte high-water mark of the current serving run, re-seeded
+    /// by [`ModelRegistry::begin_run`]; the lifetime mark is in `stats`.
+    run_peak: u64,
     pending_swaps: Vec<(u64, String, Vec<u8>)>,
 }
 
@@ -441,6 +427,7 @@ impl ModelRegistry {
             loaded_bytes: 0,
             clock: 0,
             stats: RegistryStats::default(),
+            run_peak: 0,
             pending_swaps: Vec::new(),
         }
     }
@@ -587,9 +574,34 @@ impl ModelRegistry {
         self.enforce_budget(Some(id));
     }
 
-    /// Records a new resident-byte high-water mark if one was just set.
+    /// Records a new resident-byte high-water mark, lifetime and run, if one
+    /// was just set.
     fn note_peak(&mut self) {
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.loaded_bytes);
+        self.run_peak = self.run_peak.max(self.loaded_bytes);
+    }
+
+    /// Starts a serving run: re-seeds the run's resident-byte high-water mark
+    /// at the bytes resident now and returns the lifetime counters
+    /// [`Self::run_stats`] subtracts. The lifetime counters are only read.
+    pub(crate) fn begin_run(&mut self) -> RegistryStats {
+        self.run_peak = self.loaded_bytes;
+        self.stats
+    }
+
+    /// The counters accumulated since [`Self::begin_run`] returned `before`,
+    /// with the run's own resident-byte high-water mark.
+    pub(crate) fn run_stats(&self, before: RegistryStats) -> RegistryStats {
+        let now = self.stats;
+        RegistryStats {
+            loads: now.loads - before.loads,
+            reloads: now.reloads - before.reloads,
+            evictions: now.evictions - before.evictions,
+            swaps: now.swaps - before.swaps,
+            blocks_faulted: now.blocks_faulted - before.blocks_faulted,
+            bytes_faulted: now.bytes_faulted - before.bytes_faulted,
+            peak_resident_bytes: self.run_peak,
+        }
     }
 
     /// Attaches (or, with `None`, detaches) a service-level objective on a
@@ -936,7 +948,7 @@ impl ModelRegistry {
             if cumulative > self.budget_bytes {
                 break;
             }
-            ticks += self.fault_stage(id, s)?;
+            ticks = ticks.saturating_add(self.fault_stage(id, s)?);
         }
         Ok(ticks)
     }
@@ -971,7 +983,7 @@ impl ModelRegistry {
         let mut fault_ticks = 0u64;
         let mut current: Option<Matrix> = None;
         for s in 0..model.stages() {
-            fault_ticks += self.fault_stage(id, s)?;
+            fault_ticks = fault_ticks.saturating_add(self.fault_stage(id, s)?);
             let next = match &current {
                 Some(m) => model.run_stage(s, &BatchView::from_matrix(m), exec)?,
                 None => {
@@ -1027,9 +1039,7 @@ impl ModelRegistry {
         cfg: &ServeConfig,
         requests: Vec<TaggedRequest>,
     ) -> Result<MultiServeReport, RegistryError> {
-        let (report, _) =
-            self.serve_traffic_inner(exec, cfg, AdmissionPolicy::Fifo, 1, false, requests)?;
-        Ok(report)
+        self.serve_admitted(exec, cfg, AdmissionPolicy::Fifo, requests)
     }
 
     /// Serves a heterogeneous request stream under admission control and a
@@ -1041,10 +1051,9 @@ impl ModelRegistry {
     /// execute in the order [`TrafficConfig::policy`] dictates.
     ///
     /// Every admission and ordering decision is computed from the arrival
-    /// streams and the *reference* cost model
-    /// ([`TrafficConfig::reference_workers`]) — never from the executing
-    /// worker count — so decisions, batch membership and outputs are
-    /// bit-identical across worker counts; only completion ticks change.
+    /// streams and the *reference* cost model (one worker) — never from the
+    /// executing worker count — so decisions, batch membership and outputs
+    /// are bit-identical across worker counts; only completion ticks change.
     /// Models without an SLO are never shed and schedule with priority 0 and
     /// an infinite deadline.
     ///
@@ -1059,141 +1068,64 @@ impl ModelRegistry {
         cfg: &TrafficConfig,
         requests: Vec<TaggedRequest>,
     ) -> Result<TrafficReport, RegistryError> {
-        let mut offered: BTreeMap<String, usize> = BTreeMap::new();
-        for r in &requests {
-            *offered.entry(r.model_id.clone()).or_default() += 1;
-        }
-        let (serve, rejections) = self.serve_traffic_inner(
-            exec,
-            &cfg.serve,
-            cfg.policy,
-            cfg.reference_workers.max(1),
-            true,
-            requests,
-        )?;
-        let mut per_model_slo: BTreeMap<String, SloTally> = offered
-            .into_iter()
-            .map(|(id, offered)| {
-                (
-                    id,
-                    SloTally {
-                        offered,
-                        ..SloTally::default()
-                    },
-                )
-            })
-            .collect();
-        for r in &rejections {
-            per_model_slo
-                .get_mut(&r.model)
-                .expect("rejections come from offered models")
-                .shed += 1;
-        }
-        for tc in &serve.completed {
-            let deadline = self
-                .slo(&tc.model_id)
-                .map_or(u64::MAX, |s| s.deadline_ticks);
-            let tally = per_model_slo
-                .get_mut(&tc.model_id)
-                .expect("completions come from offered models");
-            if tc.completed.latency_ticks() <= deadline {
-                tally.met += 1;
-            } else {
-                tally.missed += 1;
-            }
-        }
+        let mut schedule = self.schedule(requests, &cfg.serve, cfg.policy, true)?;
+        let batches = std::mem::take(&mut schedule.batches);
+        let serve = self.execute(exec, &cfg.serve, schedule.first_arrival_tick, batches)?;
+        let per_model_slo = schedule.slo_tallies(&serve.completed, |id| self.slo(id));
         Ok(TrafficReport {
             serve,
-            rejections,
+            rejections: schedule.rejections,
             per_model_slo,
         })
     }
 
-    /// The shared serving loop behind [`ModelRegistry::serve_multi`] (Fifo,
-    /// no shedding) and [`ModelRegistry::serve_traffic`]: route → admit →
-    /// plan → order → execute. SLO parameters (deadline, priority, per-
-    /// example cost) are read from the registry state at planning time, so a
-    /// mid-run scheduled swap cannot retroactively change decisions.
-    /// `pub(crate)` so the cluster front-end can run a host replica with
-    /// admission already done globally (`shed = false`).
-    pub(crate) fn serve_traffic_inner(
+    /// Schedules `requests` without shedding and executes the schedule: the
+    /// loop behind [`ModelRegistry::serve_multi`] (under `Fifo`) and behind a
+    /// replicated cluster host, whose substream was admitted globally.
+    pub(crate) fn serve_admitted(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &ServeConfig,
         policy: AdmissionPolicy,
-        reference_workers: usize,
-        shed: bool,
         requests: Vec<TaggedRequest>,
-    ) -> Result<(MultiServeReport, Vec<Rejection>), RegistryError> {
-        let stats_before = self.stats;
-        // Re-seed the high-water mark so the report's `peak_resident_bytes`
-        // covers exactly this run; the lifetime value is restored (merged)
-        // on the way out.
-        self.stats.peak_resident_bytes = self.loaded_bytes;
-        let first_arrival_tick = requests
-            .iter()
-            .map(|r| r.request.arrival_tick)
-            .min()
-            .unwrap_or(0);
+    ) -> Result<MultiServeReport, RegistryError> {
+        let schedule = self.schedule(requests, cfg, policy, false)?;
+        self.execute(exec, cfg, schedule.first_arrival_tick, schedule.batches)
+    }
 
-        // Route per model, preserving arrival order within each stream.
-        let mut per_model_requests: BTreeMap<String, Vec<Request>> = BTreeMap::new();
-        for r in requests {
-            if !self.entries.contains_key(&r.model_id) {
-                return Err(RegistryError::UnknownModel { id: r.model_id });
-            }
-            per_model_requests
-                .entry(r.model_id)
-                .or_default()
-                .push(r.request);
-        }
+    /// The one scheduling pass over this registry's models. SLO parameters
+    /// and per-example costs are read at scheduling time, so a mid-run
+    /// scheduled swap cannot retroactively change decisions.
+    fn schedule(
+        &self,
+        requests: Vec<TaggedRequest>,
+        cfg: &ServeConfig,
+        policy: AdmissionPolicy,
+        shed: bool,
+    ) -> Result<Schedule, RegistryError> {
+        let model = |id: &str| {
+            let entry = self.entries.get(id)?;
+            Some(ModelCost {
+                mul_count: entry.mul_count,
+                slo: entry.slo,
+            })
+        };
+        schedule(requests, model, cfg, policy, shed)
+            .map_err(|id| RegistryError::UnknownModel { id })
+    }
 
-        // Admission + per-model batch plans (pure functions of each stream,
-        // the batching policy and the reference cost model), then one merged
-        // execution order decided on the reference timeline.
-        let mut rejections: Vec<Rejection> = Vec::new();
-        let mut metas: Vec<ScheduledBatch> = Vec::new();
-        let mut batches: Vec<Option<PlannedBatch>> = Vec::new();
-        for (id, stream) in per_model_requests {
-            let entry = self.entries.get(&id).expect("routed ids are registered");
-            let slo = entry.slo;
-            let mul_count = entry.mul_count;
-            let admitted = if shed && slo.is_some() {
-                let ref_cost = RefCost::new(
-                    &cfg.service,
-                    mul_count,
-                    cfg.batching.max_batch,
-                    reference_workers,
-                );
-                admit_stream(&id, stream, cfg.batching, slo, &ref_cost, &mut rejections)
-            } else {
-                stream
-            };
-            for (seq, plan) in plan_batches(admitted, cfg.batching).into_iter().enumerate() {
-                let deadline_tick = match (slo, plan.requests.first()) {
-                    (Some(slo), Some(first)) => {
-                        first.arrival_tick.saturating_add(slo.deadline_ticks)
-                    }
-                    _ => u64::MAX,
-                };
-                metas.push(ScheduledBatch {
-                    close_tick: plan.close_tick,
-                    priority: slo.map_or(0, |s| s.priority),
-                    deadline_tick,
-                    ref_ticks: cfg
-                        .service
-                        .batch_ticks(mul_count * plan.requests.len() as u64, reference_workers),
-                    model_id: id.clone(),
-                    seq,
-                });
-                batches.push(Some(plan));
-            }
-        }
-        rejections.sort_by(|a, b| {
-            (a.tick, &a.model, a.request_id).cmp(&(b.tick, &b.model, b.request_id))
-        });
-        let order = order_batches(policy, &metas);
-
+    /// Executes a schedule's batches in order on one engine timeline: a batch
+    /// starts at `max(close tick, engine ready)`, due hot swaps apply first,
+    /// paged models fault their blocks in (the fault ticks stall the engine),
+    /// and the next batch's model is prefetched after each completion.
+    fn execute(
+        &mut self,
+        exec: &ParallelExecutor,
+        cfg: &ServeConfig,
+        first_arrival_tick: u64,
+        batches: Vec<ScheduledBatch>,
+    ) -> Result<MultiServeReport, RegistryError> {
+        let before = self.begin_run();
         let mut completed = Vec::new();
         let mut per_model: BTreeMap<String, ModelServeStats> = BTreeMap::new();
         // When the engine can next *start* a batch: the last completion tick
@@ -1203,61 +1135,61 @@ impl ModelRegistry {
         let mut final_tick = first_arrival_tick;
         let mut input = Vec::new();
         let mut outputs = Matrix::zeros(0, 0);
-        for (pos, &idx) in order.iter().enumerate() {
-            let plan = batches[idx].take().expect("each batch executes once");
-            let id = metas[idx].model_id.clone();
-            let start = plan.close_tick.max(engine_ready);
+        let mut batches = batches.into_iter().peekable();
+        while let Some(batch) = batches.next() {
+            let id = batch.model_id;
+            let start = batch.close_tick.max(engine_ready);
             self.apply_swaps_due(start);
             let entry = self.entries.get(&id).expect("routed ids stay registered");
             let in_dim = entry.in_dim;
             let mul_count = entry.mul_count;
             let paged_entry = matches!(entry.residency, Residency::Paged { .. });
 
-            let batch = plan.requests.len();
+            let size = batch.requests.len();
             input.clear();
-            for request in &plan.requests {
+            for request in &batch.requests {
                 permdnn_core::format::check_dim("serve_multi", in_dim, request.input.len())?;
                 input.extend_from_slice(&request.input);
             }
             // Demand faults stall the engine before execution; whole-loaded
-            // models load outside the modeled timeline, as before.
+            // models load outside the modeled timeline.
             let fault_ticks = if paged_entry {
-                self.paged_forward(&id, &input, batch, exec, &mut outputs)?
+                self.paged_forward(&id, &input, size, exec, &mut outputs)?
             } else {
                 let model = self.model(&id)?;
-                let xs = BatchView::new(&input, batch, in_dim)?;
+                let xs = BatchView::new(&input, size, in_dim)?;
                 model.forward_batch_into(&xs, exec, &mut outputs)?;
                 0
             };
 
-            let ticks = fault_ticks
-                + cfg
-                    .service
-                    .batch_ticks(mul_count * batch as u64, exec.workers());
-            let completion_tick = start + ticks;
+            let ticks = fault_ticks.saturating_add(
+                cfg.service
+                    .batch_ticks(mul_count.saturating_mul(size as u64), exec.workers()),
+            );
+            let completion_tick = start.saturating_add(ticks);
             final_tick = completion_tick;
             // Deterministic prefetch hook: page the next scheduled batch's
             // model right after this batch completes. Depends only on the
             // reference-decided order and fault history, so it is identical
             // for every worker count.
-            let prefetch_ticks = match order.get(pos + 1) {
-                Some(&next) => self.prefetch_model(&metas[next].model_id)?,
+            let prefetch_ticks = match batches.peek() {
+                Some(next) => self.prefetch_model(&next.model_id)?,
                 None => 0,
             };
-            engine_ready = completion_tick + prefetch_ticks;
+            engine_ready = completion_tick.saturating_add(prefetch_ticks);
 
             let tally = per_model.entry(id.clone()).or_default();
-            tally.served += batch;
+            tally.served += size;
             tally.batches += 1;
             tally.busy_ticks += ticks;
-            for (i, request) in plan.requests.into_iter().enumerate() {
+            for (i, request) in batch.requests.into_iter().enumerate() {
                 completed.push(TaggedCompletion {
                     model_id: id.clone(),
                     completed: CompletedRequest {
                         id: request.id,
                         arrival_tick: request.arrival_tick,
                         completion_tick,
-                        batch_size: batch,
+                        batch_size: size,
                         output: outputs.row(i).to_vec(),
                     },
                 });
@@ -1266,29 +1198,14 @@ impl ModelRegistry {
         // Swaps scheduled past the last batch apply at stream end.
         self.apply_swaps_due(u64::MAX);
 
-        let after = self.stats;
-        self.stats.peak_resident_bytes = stats_before
-            .peak_resident_bytes
-            .max(after.peak_resident_bytes);
-        Ok((
-            MultiServeReport {
-                completed,
-                per_model,
-                final_tick,
-                first_arrival_tick,
-                workers: exec.workers(),
-                stats: RegistryStats {
-                    loads: after.loads - stats_before.loads,
-                    reloads: after.reloads - stats_before.reloads,
-                    evictions: after.evictions - stats_before.evictions,
-                    swaps: after.swaps - stats_before.swaps,
-                    blocks_faulted: after.blocks_faulted - stats_before.blocks_faulted,
-                    bytes_faulted: after.bytes_faulted - stats_before.bytes_faulted,
-                    peak_resident_bytes: after.peak_resident_bytes,
-                },
-            },
-            rejections,
-        ))
+        Ok(MultiServeReport {
+            completed,
+            per_model,
+            final_tick,
+            first_arrival_tick,
+            workers: exec.workers(),
+            stats: self.run_stats(before),
+        })
     }
 }
 
@@ -1838,6 +1755,110 @@ mod tests {
             paged.model("big"),
             Err(RegistryError::PagedResidency { .. })
         ));
+    }
+
+    #[test]
+    fn failed_serve_calls_leave_the_lifetime_peak_alone() {
+        // Regression: a run re-seeded the lifetime high-water mark to the
+        // bytes resident at its start and only restored it on success, so a
+        // failed call lowered it.
+        let mut reg = ModelRegistry::new(tensor_loader(), u64::MAX);
+        reg.insert("a", pd_snapshot(8, 1)).unwrap();
+        reg.insert("b", pd_snapshot(8, 2)).unwrap();
+        let peak = reg.stats().peak_resident_bytes;
+        assert_eq!(peak, reg.loaded_bytes());
+        reg.remove("a");
+        assert!(reg.loaded_bytes() < peak);
+        let one = |model_id: &str, width: usize| {
+            vec![TaggedRequest {
+                model_id: model_id.to_string(),
+                request: Request {
+                    id: 0,
+                    arrival_tick: 0,
+                    input: vec![0.5; width],
+                },
+            }]
+        };
+        let exec = ParallelExecutor::sequential();
+        let traffic = TrafficConfig::new(cfg(), AdmissionPolicy::Fifo);
+        assert!(reg.serve_multi(&exec, &cfg(), one("ghost", 8)).is_err());
+        assert_eq!(reg.stats().peak_resident_bytes, peak, "unknown id");
+        assert!(reg.serve_multi(&exec, &cfg(), one("b", 5)).is_err());
+        assert_eq!(reg.stats().peak_resident_bytes, peak, "wrong-length input");
+        assert!(reg.serve_traffic(&exec, &traffic, one("b", 5)).is_err());
+        assert_eq!(reg.stats().peak_resident_bytes, peak, "serve_traffic");
+        // A run that succeeds reports its own peak and keeps the lifetime one.
+        let report = reg.serve_multi(&exec, &cfg(), one("b", 8)).unwrap();
+        assert_eq!(report.stats.peak_resident_bytes, reg.loaded_bytes());
+        assert_eq!(reg.stats().peak_resident_bytes, peak);
+    }
+
+    #[test]
+    fn deadlines_past_u64_max_saturate_and_every_request_is_served_or_shed_once() {
+        // Regression: the planner's next event `arrival + max_wait_ticks`
+        // overflowed — a debug-build panic and a release build that never
+        // returned. The deadline now saturates and the batch still flushes.
+        let near_max = [u64::MAX - 4, u64::MAX - 1, u64::MAX, u64::MAX];
+        let stream: Vec<Request> = crate::serve::seeded_request_stream(17, 6, 8, 0.0)
+            .into_iter()
+            .zip([5, 6].into_iter().chain(near_max))
+            .map(|(r, arrival_tick)| Request { arrival_tick, ..r })
+            .collect();
+        let arrival = |id: u64| stream[id as usize].arrival_tick;
+        let ids = |mut ids: Vec<u64>| {
+            ids.sort_unstable();
+            ids
+        };
+        let all: Vec<u64> = (0..stream.len() as u64).collect();
+        let op = load_tensor(&pd_snapshot(8, 3), &SnapshotCodec::new()).unwrap();
+        let model = SingleLayerModel::new(op);
+        let exec = ParallelExecutor::new(2);
+        for max_wait_ticks in [u64::MAX, 10] {
+            let batching = BatchConfig::new(8, max_wait_ticks);
+            let plans = crate::serve::plan_batches(stream.clone(), batching);
+            let planned = plans.iter().flat_map(|p| p.requests.iter().map(|r| r.id));
+            assert_eq!(ids(planned.collect()), all, "plan_batches");
+            assert!(plans
+                .iter()
+                .all(|p| p.requests.iter().all(|r| p.close_tick >= r.arrival_tick)));
+
+            let serve_cfg = ServeConfig {
+                batching,
+                service: ServiceModel::default(),
+            };
+            let report = crate::serve::serve(&model, &exec, &serve_cfg, stream.clone()).unwrap();
+            assert_eq!(
+                ids(report.completed.iter().map(|c| c.id).collect()),
+                all,
+                "serve"
+            );
+            for c in &report.completed {
+                assert!(c.completion_tick >= c.arrival_tick);
+            }
+
+            // Queue depth 4: the backlog waiting at the saturated deadline
+            // sheds the fifth and later arrivals.
+            let mut reg = ModelRegistry::new(tensor_loader(), u64::MAX);
+            let slo = SloTarget::new(1_000, 0, 4).unwrap();
+            reg.insert_with_slo("m", pd_snapshot(8, 3), slo).unwrap();
+            let tagged = stream
+                .iter()
+                .cloned()
+                .map(|request| TaggedRequest {
+                    model_id: "m".to_string(),
+                    request,
+                })
+                .collect();
+            let traffic = TrafficConfig::new(serve_cfg, AdmissionPolicy::EarliestDeadline);
+            let report = reg.serve_traffic(&exec, &traffic, tagged).unwrap();
+            let served = report.serve.completed.iter().map(|tc| tc.completed.id);
+            let shed = report.rejections.iter().map(|r| r.request_id);
+            assert_eq!(ids(served.chain(shed).collect()), all, "serve_traffic");
+            for tc in &report.serve.completed {
+                assert!(tc.completed.completion_tick >= arrival(tc.completed.id));
+            }
+            assert_eq!(report.offered(), stream.len());
+        }
     }
 
     #[test]

@@ -11,12 +11,14 @@
 //!    formation depends **only** on the arrival stream and the
 //!    [`BatchConfig`] — never on execution speed — so the batching decisions
 //!    are identical across runs and across worker counts (the determinism
-//!    property locked in by `tests/concurrency.rs`).
+//!    property locked in by `tests/concurrency.rs`). The same replay, with an
+//!    admission gate, is how the [`slo`](crate::slo) schedule sheds requests.
 //! 3. [`serve`] executes the planned batches in order on a [`BatchModel`]:
 //!    outputs are computed for real on the worker pool, while service time is
 //!    charged by the [`ServiceModel`] — `ceil(total muls / (per-worker
 //!    throughput × workers))` ticks per batch, the idealised linear-scaling
-//!    cost the `serve_throughput` bench sweeps.
+//!    cost the `serve_throughput` bench sweeps. [`modeled_completion_ticks`]
+//!    folds the same single-engine timeline without the arithmetic.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -127,19 +129,26 @@ impl BatchingQueue {
         self.pending.front().map(|r| r.arrival_tick)
     }
 
+    /// Tick at which the oldest waiting request has waited `max_wait_ticks`.
+    /// It saturates: a wait that would pass `u64::MAX` ends there, where the
+    /// clock stops, so every queued request still flushes.
+    fn deadline(&self) -> Option<u64> {
+        self.oldest_arrival()
+            .map(|t| t.saturating_add(self.cfg.max_wait_ticks))
+    }
+
     /// Flushes a batch if the policy says so at tick `now`: either
     /// `max_batch` requests are waiting, or the oldest has waited
     /// `max_wait_ticks`. Returns up to `max_batch` requests in arrival order.
     /// Call repeatedly — a backlog can release several batches at one tick.
     pub fn poll(&mut self, now: u64) -> Option<Vec<Request>> {
-        let oldest = self.oldest_arrival()?;
+        let deadline = self.deadline()?;
         // The config fields are public, so a hand-built `max_batch: 0` can
         // bypass `BatchConfig::new`'s assert; clamp here so a flush always
         // drains at least one request (an empty flush would loop forever).
         let cap = self.cfg.max_batch.max(1);
         let full = self.pending.len() >= cap;
-        let expired = now.saturating_sub(oldest) >= self.cfg.max_wait_ticks;
-        if full || expired {
+        if full || now >= deadline {
             let n = self.pending.len().min(cap);
             Some(self.pending.drain(..n).collect())
         } else {
@@ -186,6 +195,23 @@ pub struct PlannedBatch {
 ///
 /// Panics if the stream is not sorted by arrival tick.
 pub fn plan_batches(requests: Vec<Request>, cfg: BatchConfig) -> Vec<PlannedBatch> {
+    replay(requests, cfg, |_, _| true)
+}
+
+/// [`plan_batches`] behind an admission gate: `admit(request, backlog)` sees
+/// each arrival with the number of requests queued ahead of it, and a
+/// request it refuses never enters the queue. Shedding and batching come
+/// from this one replay, so the backlog a gate sees is exactly the queue the
+/// flushes drain.
+///
+/// # Panics
+///
+/// Panics if the stream is not sorted by arrival tick.
+pub(crate) fn replay(
+    requests: Vec<Request>,
+    cfg: BatchConfig,
+    mut admit: impl FnMut(&Request, usize) -> bool,
+) -> Vec<PlannedBatch> {
     assert!(
         requests
             .windows(2)
@@ -195,13 +221,14 @@ pub fn plan_batches(requests: Vec<Request>, cfg: BatchConfig) -> Vec<PlannedBatc
     let mut queue = BatchingQueue::new(cfg);
     let mut plans = Vec::new();
     let mut iter = requests.into_iter().peekable();
-    let Some(first) = iter.peek() else {
+    let Some(mut now) = iter.peek().map(|r| r.arrival_tick) else {
         return plans;
     };
-    let mut now = first.arrival_tick;
     loop {
-        while iter.peek().is_some_and(|r| r.arrival_tick <= now) {
-            queue.push(iter.next().expect("peeked"));
+        while let Some(request) = iter.next_if(|r| r.arrival_tick <= now) {
+            if admit(&request, queue.pending()) {
+                queue.push(request);
+            }
         }
         while let Some(batch) = queue.poll(now) {
             plans.push(PlannedBatch {
@@ -209,14 +236,13 @@ pub fn plan_batches(requests: Vec<Request>, cfg: BatchConfig) -> Vec<PlannedBatc
                 requests: batch,
             });
         }
+        // The next event: an arrival or the oldest request's deadline. Both
+        // lie past `now`, and a deadline at `u64::MAX` flushes everything.
         let next_arrival = iter.peek().map(|r| r.arrival_tick);
-        let deadline = queue.oldest_arrival().map(|t| t + cfg.max_wait_ticks);
-        now = match (next_arrival, deadline) {
-            (Some(a), Some(d)) => a.min(d),
-            (Some(a), None) => a,
-            (None, Some(d)) => d,
-            (None, None) => break,
-        };
+        match next_arrival.into_iter().chain(queue.deadline()).min() {
+            Some(next) => now = next,
+            None => break,
+        }
     }
     plans
 }
@@ -260,10 +286,15 @@ impl ServiceModel {
         }
     }
 
-    /// Ticks to execute a batch costing `total_muls` on `workers` workers.
+    /// Ticks to execute a batch costing `total_muls` on `workers` workers
+    /// (saturating at `u64::MAX`).
     pub fn batch_ticks(&self, total_muls: u64, workers: usize) -> u64 {
-        let throughput = self.muls_per_worker_tick.max(1) * workers.max(1) as u64;
-        self.batch_overhead_ticks + total_muls.div_ceil(throughput).max(1)
+        let throughput = self
+            .muls_per_worker_tick
+            .max(1)
+            .saturating_mul(workers.max(1) as u64);
+        self.batch_overhead_ticks
+            .saturating_add(total_muls.div_ceil(throughput).max(1))
     }
 }
 
@@ -384,16 +415,12 @@ pub struct ServeReport {
 impl ServeReport {
     /// Total simulated serving time in ticks.
     pub fn makespan_ticks(&self) -> u64 {
-        self.final_tick - self.first_arrival_tick
+        makespan(self.first_arrival_tick, self.final_tick)
     }
 
     /// Requests served per second at a nominal tick rate of `tick_hz`.
     pub fn requests_per_sec(&self, tick_hz: f64) -> f64 {
-        let ticks = self.makespan_ticks();
-        if ticks == 0 {
-            return 0.0;
-        }
-        self.completed.len() as f64 / (ticks as f64 / tick_hz)
+        per_second(self.completed.len(), self.makespan_ticks(), tick_hz)
     }
 
     /// Latency percentile in ticks (`q` in `[0, 1]`; nearest-rank on the
@@ -406,11 +433,7 @@ impl ServeReport {
     /// p50/p95/p99 triple every bench sweep reads. Each value is bit-identical
     /// to the corresponding [`Self::latency_percentile_ticks`] call.
     pub fn latency_percentiles_ticks(&self, qs: &[f64]) -> Vec<u64> {
-        let mut latencies: Vec<u64> = self.completed.iter().map(|c| c.latency_ticks()).collect();
-        latencies.sort_unstable();
-        qs.iter()
-            .map(|&q| percentile_of_sorted(&latencies, q))
-            .collect()
+        latency_percentiles(self.completed.iter().map(|c| c.latency_ticks()), qs)
     }
 
     /// Mean executed batch size.
@@ -422,6 +445,31 @@ impl ServeReport {
     }
 }
 
+/// Ticks from the first arrival to the final completion; 0 when nothing
+/// finished after the first arrival. Every report's makespan.
+pub(crate) fn makespan(first_arrival_tick: u64, final_tick: u64) -> u64 {
+    final_tick.saturating_sub(first_arrival_tick)
+}
+
+/// `served` requests over `ticks` at a nominal `tick_hz`; 0 for an empty
+/// makespan. Every report's requests per second.
+pub(crate) fn per_second(served: usize, ticks: u64, tick_hz: f64) -> f64 {
+    if ticks == 0 {
+        return 0.0;
+    }
+    served as f64 / (ticks as f64 / tick_hz)
+}
+
+/// Nearest-rank percentiles of `latencies`, from one sort. Every report's
+/// latency percentiles.
+pub(crate) fn latency_percentiles(latencies: impl Iterator<Item = u64>, qs: &[f64]) -> Vec<u64> {
+    let mut sorted: Vec<u64> = latencies.collect();
+    sorted.sort_unstable();
+    qs.iter()
+        .map(|&q| percentile_of_sorted(&sorted, q))
+        .collect()
+}
+
 /// Nearest-rank percentile over an already-sorted latency list; 0 when empty.
 /// The one percentile definition every report type shares.
 pub(crate) fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
@@ -430,6 +478,32 @@ pub(crate) fn percentile_of_sorted(sorted: &[u64], q: f64) -> u64 {
     }
     let idx = ((sorted.len() - 1) as f64 * q.clamp(0.0, 1.0)).round() as usize;
     sorted[idx]
+}
+
+/// The single-engine timeline of a stream served by one model: the first
+/// arrival (the makespan start) and each planned batch with its completion
+/// tick. A batch starts once it has closed and the previous batch has
+/// completed, and holds the engine for its [`ServiceModel`] ticks.
+fn timeline(
+    requests: Vec<Request>,
+    cfg: &ServeConfig,
+    mul_count_per_example: u64,
+    workers: usize,
+) -> (u64, Vec<(PlannedBatch, u64)>) {
+    let first_arrival_tick = requests.first().map_or(0, |r| r.arrival_tick);
+    let mut engine_free = first_arrival_tick;
+    let batches = plan_batches(requests, cfg.batching)
+        .into_iter()
+        .map(|plan| {
+            let size = plan.requests.len() as u64;
+            let ticks = cfg
+                .service
+                .batch_ticks(mul_count_per_example.saturating_mul(size), workers);
+            engine_free = plan.close_tick.max(engine_free).saturating_add(ticks);
+            (plan, engine_free)
+        })
+        .collect();
+    (first_arrival_tick, batches)
 }
 
 /// Serves a request stream: plans batches with [`plan_batches`], then executes
@@ -447,16 +521,16 @@ pub fn serve(
     cfg: &ServeConfig,
     requests: Vec<Request>,
 ) -> Result<ServeReport, FormatError> {
-    let first_arrival_tick = requests.first().map_or(0, |r| r.arrival_tick);
     let in_dim = model.in_dim();
-    let plans = plan_batches(requests, cfg.batching);
+    let (first_arrival_tick, batches) =
+        timeline(requests, cfg, model.mul_count_per_example(), exec.workers());
+    let final_tick = batches.last().map_or(first_arrival_tick, |&(_, end)| end);
 
     let mut completed = Vec::new();
-    let mut batch_sizes = Vec::with_capacity(plans.len());
-    let mut engine_free = first_arrival_tick;
+    let mut batch_sizes = Vec::with_capacity(batches.len());
     let mut input = Vec::new();
     let mut outputs = Matrix::zeros(0, 0);
-    for plan in plans {
+    for (plan, completion_tick) in batches {
         let batch = plan.requests.len();
         input.clear();
         for request in &plan.requests {
@@ -465,13 +539,6 @@ pub fn serve(
         }
         let xs = BatchView::new(&input, batch, in_dim)?;
         model.forward_batch_into(&xs, exec, &mut outputs)?;
-
-        let start = plan.close_tick.max(engine_free);
-        let ticks = cfg
-            .service
-            .batch_ticks(model.mul_count_per_example() * batch as u64, exec.workers());
-        let completion_tick = start + ticks;
-        engine_free = completion_tick;
 
         for (i, request) in plan.requests.into_iter().enumerate() {
             completed.push(CompletedRequest {
@@ -488,39 +555,28 @@ pub fn serve(
     Ok(ServeReport {
         completed,
         batch_sizes,
-        final_tick: engine_free,
+        final_tick,
         first_arrival_tick,
         workers: exec.workers(),
     })
 }
 
 /// Predicts the final completion tick [`serve`] will report for a stream,
-/// without executing any arithmetic: replays [`plan_batches`] and the serve
-/// loop's exact timing recurrence (`start = max(close_tick, engine_free)`,
-/// `completion = start + batch_ticks`) over a model described only by its
-/// per-example multiplication count. This is the modeled-throughput side of
-/// the autotuner's score — `pareto_sweep` asserts a served run's
-/// `final_tick` equals this prediction exactly, confirming the `mul_count`
-/// objective the search optimised is the same quantity the serving runtime
-/// charges.
+/// without executing any arithmetic: it folds the same single-engine timeline
+/// over a model described only by its per-example multiplication count. This
+/// is the modeled-throughput side of the autotuner's score — `pareto_sweep`
+/// asserts a served run's `final_tick` equals this prediction exactly,
+/// confirming the `mul_count` objective the search optimised is the same
+/// quantity the serving runtime charges.
 pub fn modeled_completion_ticks(
     requests: &[Request],
     cfg: &ServeConfig,
     mul_count_per_example: u64,
     workers: usize,
 ) -> u64 {
-    let first_arrival_tick = requests.first().map_or(0, |r| r.arrival_tick);
-    let plans = plan_batches(requests.to_vec(), cfg.batching);
-    let mut engine_free = first_arrival_tick;
-    for plan in plans {
-        let batch = plan.requests.len();
-        let start = plan.close_tick.max(engine_free);
-        let ticks = cfg
-            .service
-            .batch_ticks(mul_count_per_example * batch as u64, workers);
-        engine_free = start + ticks;
-    }
-    engine_free
+    let (first_arrival_tick, batches) =
+        timeline(requests.to_vec(), cfg, mul_count_per_example, workers);
+    batches.last().map_or(first_arrival_tick, |&(_, end)| end)
 }
 
 /// Generates a ChaCha-seeded request stream: exponential inter-arrival gaps

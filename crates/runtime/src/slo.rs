@@ -1,38 +1,47 @@
-//! Per-model SLO targets, admission control and policy-driven batch ordering
-//! for multi-model serving.
-//!
-//! Three pieces sit in front of the existing
-//! [`plan_batches`](crate::serve::plan_batches)/execution pipeline:
+//! Per-model SLO targets, admission control, policy-driven batch ordering,
+//! and the one scheduling pass that joins them.
 //!
 //! 1. [`SloTarget`] — a per-model service-level objective (latency deadline in
 //!    ticks, scheduling priority, bounded queue depth), attached to a model
 //!    at [`ModelRegistry::insert_with_slo`](crate::registry::ModelRegistry::insert_with_slo).
-//! 2. **Admission** ([`admit_stream`]) — replays a model's arrival stream
-//!    through the same queue dynamics `plan_batches` uses and *sheds*
-//!    requests that cannot be served: a typed [`Rejection`] records the
-//!    model, tick and [`RejectReason`] (`QueueFull` when the backlog is at
-//!    the SLO's `max_queue_depth`, `DeadlineInfeasible` when even the
-//!    reference-cost service estimate already exceeds the deadline on
-//!    arrival).
-//! 3. **Batch ordering** ([`order_batches`]) — decides the execution order of
+//! 2. **Admission** — a gate inside the batch planner's own queue replay
+//!    ([`plan_batches`](crate::serve::plan_batches)): each arrival is checked
+//!    against the backlog queued ahead of it and *shed* if it cannot be
+//!    served. A typed [`Rejection`] records the model, tick and
+//!    [`RejectReason`] (`QueueFull` when the backlog is at the SLO's
+//!    `max_queue_depth`, `DeadlineInfeasible` when even the reference-cost
+//!    service estimate already exceeds the deadline on arrival). Shedding and
+//!    batching come from the same replay, so they cannot disagree.
+//! 3. **Batch ordering** (`order_batches`) — decides the execution order of
 //!    the per-model batch plans on the shared engine under an
 //!    [`AdmissionPolicy`]: `Fifo` (close tick, then model id — exactly the
 //!    historical `serve_multi` order), `Priority` (higher-priority SLOs
 //!    first), or `EarliestDeadline` (the batch whose first member's absolute
 //!    deadline is soonest).
+//! 4. **The schedule** (`schedule`) — routes a tagged stream per model,
+//!    admits and plans each model's stream in one replay, and orders the
+//!    batches. The resulting `Schedule` owns the requests, and every
+//!    serving loop only executes it: `ModelRegistry::serve_multi` and
+//!    `serve_traffic`, and `Cluster::serve_traffic` on every topology.
 //!
 //! **Determinism invariant.** Every decision here is a pure function of the
-//! arrival streams, the batching policy and the *reference* cost model
-//! ([`TrafficConfig::reference_workers`], default 1) — never of the worker
-//! count actually executing the batches. Shedding happens on the arrival
-//! timeline; ordering is computed on a simulated reference engine timeline.
-//! The same seed therefore yields bit-identical admission decisions, batch
-//! membership and outputs for any worker count, which `tests/slo.rs` locks
-//! in across {1, 2, 3, 7} workers.
+//! arrival streams, the batching policy and the *reference* cost model (one
+//! worker) — never of the worker count actually executing the batches.
+//! Shedding happens on the arrival timeline; ordering is computed on a
+//! simulated reference engine timeline. The same seed therefore yields
+//! bit-identical admission decisions, batch membership and outputs for any
+//! worker count, which `tests/slo.rs` locks in across {1, 2, 3, 7} workers.
 
-use std::collections::VecDeque;
+use std::collections::BTreeMap;
 
-use crate::serve::{BatchConfig, Request, ServeConfig, ServiceModel};
+use crate::registry::{TaggedCompletion, TaggedRequest};
+use crate::serve::{replay, BatchConfig, PlannedBatch, Request, ServeConfig, ServiceModel};
+
+/// Worker count the *decision* timeline charges service at. Admission
+/// estimates and batch ordering are computed against this fixed reference,
+/// never against the executing worker count — that is what keeps decisions
+/// bit-identical across {1, 2, …, n} workers.
+const REFERENCE_WORKERS: usize = 1;
 
 /// Errors from building an invalid SLO target.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -153,8 +162,8 @@ pub enum AdmissionPolicy {
 }
 
 /// Everything [`serve_traffic`](crate::registry::ModelRegistry::serve_traffic)
-/// needs: the familiar batching + service-cost configuration, the ordering
-/// policy, and the reference worker count decisions are computed at.
+/// needs: the familiar batching + service-cost configuration and the
+/// ordering policy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrafficConfig {
     /// Batch-coalescing policy and execution-cost model (shared with the
@@ -162,21 +171,12 @@ pub struct TrafficConfig {
     pub serve: ServeConfig,
     /// How contending batches are ordered on the engine.
     pub policy: AdmissionPolicy,
-    /// Worker count the *decision* timeline charges service at. Admission
-    /// estimates and batch ordering are computed against this fixed
-    /// reference, never against the executing worker count — that is what
-    /// keeps decisions bit-identical across {1, 2, …, n} workers.
-    pub reference_workers: usize,
 }
 
 impl TrafficConfig {
-    /// A traffic configuration with the default reference worker count (1).
+    /// A traffic configuration.
     pub fn new(serve: ServeConfig, policy: AdmissionPolicy) -> Self {
-        TrafficConfig {
-            serve,
-            policy,
-            reference_workers: 1,
-        }
+        TrafficConfig { serve, policy }
     }
 }
 
@@ -215,28 +215,44 @@ impl SloTally {
     }
 }
 
-/// Reference service costs for one model: the ticks a batch of each size
-/// 1..=max_batch takes at the decision timeline's worker count.
-#[derive(Debug, Clone)]
-pub(crate) struct RefCost {
-    per_size: Vec<u64>,
+impl<'a> std::iter::Sum<&'a SloTally> for SloTally {
+    fn sum<I: Iterator<Item = &'a SloTally>>(tallies: I) -> SloTally {
+        tallies.fold(SloTally::default(), |total, t| SloTally {
+            offered: total.offered + t.offered,
+            met: total.met + t.met,
+            missed: total.missed + t.missed,
+            shed: total.shed + t.shed,
+        })
+    }
+}
+
+/// One model's reference service cost: the ticks a batch takes at the
+/// decision timeline's worker count.
+#[derive(Debug, Clone, Copy)]
+struct RefCost {
+    service: ServiceModel,
+    mul_count_per_example: u64,
+    /// Largest batch the planner forms (`max_batch`, at least 1).
+    cap: usize,
 }
 
 impl RefCost {
-    /// Precomputes batch costs for `mul_count_per_example` through the
-    /// service model at `reference_workers`.
-    pub(crate) fn new(
-        service: &ServiceModel,
-        mul_count_per_example: u64,
-        max_batch: usize,
-        reference_workers: usize,
-    ) -> Self {
-        let cap = max_batch.max(1);
+    /// The reference cost of `mul_count_per_example` through the service
+    /// model, for batches of at most `max_batch`.
+    fn new(service: &ServiceModel, mul_count_per_example: u64, max_batch: usize) -> Self {
         RefCost {
-            per_size: (1..=cap)
-                .map(|b| service.batch_ticks(mul_count_per_example * b as u64, reference_workers))
-                .collect(),
+            service: *service,
+            mul_count_per_example,
+            cap: max_batch.max(1),
         }
+    }
+
+    /// Reference ticks of a batch of `size` examples.
+    fn ticks(&self, size: usize) -> u64 {
+        self.service.batch_ticks(
+            self.mul_count_per_example.saturating_mul(size as u64),
+            REFERENCE_WORKERS,
+        )
     }
 
     /// Deterministic service estimate for a request that finds `pending`
@@ -246,94 +262,30 @@ impl RefCost {
     /// *load-shaped* estimate, monotone in the backlog, not an exact
     /// prediction.
     fn estimate(&self, pending: usize) -> u64 {
-        let cap = self.per_size.len();
-        let full_chunks = (pending / cap) as u64;
-        let own_chunk = pending % cap + 1;
-        full_chunks * self.per_size[cap - 1] + self.per_size[own_chunk - 1]
+        let full_chunks = (pending / self.cap) as u64;
+        full_chunks
+            .saturating_mul(self.ticks(self.cap))
+            .saturating_add(self.ticks(pending % self.cap + 1))
+    }
+
+    /// The admission gate: why an arrival finding `backlog` admitted requests
+    /// queued ahead of it is shed under `slo` — `QueueFull` when the backlog
+    /// is at the depth bound, then `DeadlineInfeasible` when the estimate
+    /// exceeds the deadline — or `None` to admit it.
+    fn reject(&self, slo: &SloTarget, backlog: usize) -> Option<RejectReason> {
+        if backlog >= slo.max_queue_depth {
+            Some(RejectReason::QueueFull)
+        } else if self.estimate(backlog) > slo.deadline_ticks {
+            Some(RejectReason::DeadlineInfeasible)
+        } else {
+            None
+        }
     }
 }
 
-/// Replays one model's arrival stream through the exact queue dynamics
-/// [`plan_batches`](crate::serve::plan_batches) uses and sheds what cannot be
-/// served, returning the admitted sub-stream (shed requests never enter the
-/// queue, so `plan_batches(admitted)` reproduces the replayed flushes
-/// exactly).
-///
-/// Decisions are made per arrival, against the backlog at that tick:
-/// `QueueFull` when the backlog is at the SLO's depth bound, then
-/// `DeadlineInfeasible` when the [`RefCost`] estimate exceeds the deadline.
-/// With no SLO the stream passes through untouched. Pure function of
-/// `(stream, batching, slo, ref_cost)` — the executing worker count never
-/// enters.
-pub(crate) fn admit_stream(
-    model_id: &str,
-    requests: Vec<Request>,
-    batching: BatchConfig,
-    slo: Option<SloTarget>,
-    ref_cost: &RefCost,
-    rejections: &mut Vec<Rejection>,
-) -> Vec<Request> {
-    let Some(slo) = slo else {
-        return requests;
-    };
-    let cap = batching.max_batch.max(1);
-    // Backlog of admitted-but-unbatched arrival ticks; mirrors
-    // BatchingQueue::poll exactly (flush when full or the oldest expired,
-    // draining `cap` at a time).
-    let mut pending: VecDeque<u64> = VecDeque::new();
-    let mut admitted = Vec::new();
-    let mut iter = requests.into_iter().peekable();
-    let Some(first) = iter.peek() else {
-        return admitted;
-    };
-    let mut now = first.arrival_tick;
-    loop {
-        while iter.peek().is_some_and(|r| r.arrival_tick <= now) {
-            let r = iter.next().expect("peeked");
-            if pending.len() >= slo.max_queue_depth {
-                rejections.push(Rejection {
-                    model: model_id.to_string(),
-                    request_id: r.id,
-                    tick: r.arrival_tick,
-                    reason: RejectReason::QueueFull,
-                });
-            } else if ref_cost.estimate(pending.len()) > slo.deadline_ticks {
-                rejections.push(Rejection {
-                    model: model_id.to_string(),
-                    request_id: r.id,
-                    tick: r.arrival_tick,
-                    reason: RejectReason::DeadlineInfeasible,
-                });
-            } else {
-                pending.push_back(r.arrival_tick);
-                admitted.push(r);
-            }
-        }
-        // Flush exactly as BatchingQueue::poll would at this tick.
-        while let Some(&oldest) = pending.front() {
-            let full = pending.len() >= cap;
-            let expired = now.saturating_sub(oldest) >= batching.max_wait_ticks;
-            if full || expired {
-                let n = pending.len().min(cap);
-                pending.drain(..n);
-            } else {
-                break;
-            }
-        }
-        let next_arrival = iter.peek().map(|r| r.arrival_tick);
-        let deadline = pending.front().map(|t| t + batching.max_wait_ticks);
-        now = match (next_arrival, deadline) {
-            (Some(a), Some(d)) => a.min(d),
-            (Some(a), None) => a,
-            (None, Some(_)) | (None, None) => break,
-        };
-    }
-    admitted
-}
-
-/// One planned batch's scheduling metadata (identity plus every key a policy
-/// can order by).
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// One batch of a [`Schedule`]: its model and members, plus every key a
+/// policy can order it by.
+#[derive(Debug, Clone, PartialEq)]
 pub(crate) struct ScheduledBatch {
     /// Tick the batch became ready for execution.
     pub close_tick: u64,
@@ -349,6 +301,8 @@ pub(crate) struct ScheduledBatch {
     /// Position within the model's own batch plan (preserves per-model
     /// order on key ties).
     pub seq: usize,
+    /// The member requests, in arrival order.
+    pub requests: Vec<Request>,
 }
 
 fn policy_key(policy: AdmissionPolicy, batch: &ScheduledBatch) -> (u64, u64, &str, usize) {
@@ -402,15 +356,184 @@ pub(crate) fn order_batches(policy: AdmissionPolicy, batches: &[ScheduledBatch])
             .map(|(pos, _)| pos)
             .expect("a ready batch exists");
         let idx = remaining.remove(pos);
-        free = free.max(batches[idx].close_tick) + batches[idx].ref_ticks;
+        free = free
+            .max(batches[idx].close_tick)
+            .saturating_add(batches[idx].ref_ticks);
         order.push(idx);
     }
     order
 }
 
+/// One model's stream through the batch planner's replay behind the
+/// admission gate of `slo` (no SLO admits everything): the batch plan of the
+/// admitted requests, with each shed request appended to `rejections`.
+fn admit_and_plan(
+    model_id: &str,
+    stream: Vec<Request>,
+    batching: BatchConfig,
+    slo: Option<SloTarget>,
+    ref_cost: &RefCost,
+    rejections: &mut Vec<Rejection>,
+) -> Vec<PlannedBatch> {
+    replay(stream, batching, |request, backlog| {
+        let Some(reason) = slo.and_then(|slo| ref_cost.reject(&slo, backlog)) else {
+            return true;
+        };
+        rejections.push(Rejection {
+            model: model_id.to_string(),
+            request_id: request.id,
+            tick: request.arrival_tick,
+            reason,
+        });
+        false
+    })
+}
+
+/// What the schedule needs to know about a model: its per-example cost and
+/// its SLO, if any.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ModelCost {
+    /// Multiplications per example.
+    pub mul_count: u64,
+    /// The model's service-level objective.
+    pub slo: Option<SloTarget>,
+}
+
+/// The result of the one scheduling pass: what was shed and which batches
+/// run in which order. It owns the requests.
+#[derive(Debug)]
+pub(crate) struct Schedule {
+    /// Tick the first request arrived (0 for an empty stream): the makespan
+    /// start.
+    pub first_arrival_tick: u64,
+    /// Requests offered per model (admitted + shed).
+    pub offered: BTreeMap<String, usize>,
+    /// Every shed request, sorted by `(tick, model, request id)`.
+    pub rejections: Vec<Rejection>,
+    /// The admitted requests' batches, in execution order.
+    pub batches: Vec<ScheduledBatch>,
+}
+
+/// Schedules a tagged stream (sorted by arrival tick): routes it per model
+/// (arrival order kept within each model), replays each model's stream
+/// through the batch planner — behind its SLO's admission gate when `shed`
+/// is on — and orders every model's batches under `policy` with
+/// [`order_batches`]. `model` supplies each model's cost and SLO. A pure
+/// function of its inputs: the executing worker count never enters.
+///
+/// # Errors
+///
+/// Returns the id of the first request whose model `model` does not know.
+pub(crate) fn schedule(
+    requests: Vec<TaggedRequest>,
+    model: impl Fn(&str) -> Option<ModelCost>,
+    cfg: &ServeConfig,
+    policy: AdmissionPolicy,
+    shed: bool,
+) -> Result<Schedule, String> {
+    let first_arrival_tick = requests
+        .iter()
+        .map(|r| r.request.arrival_tick)
+        .min()
+        .unwrap_or(0);
+    let mut streams: BTreeMap<String, (ModelCost, Vec<Request>)> = BTreeMap::new();
+    for r in requests {
+        let Some(cost) = model(&r.model_id) else {
+            return Err(r.model_id);
+        };
+        streams
+            .entry(r.model_id)
+            .or_insert_with(|| (cost, Vec::new()))
+            .1
+            .push(r.request);
+    }
+
+    let mut offered = BTreeMap::new();
+    let mut rejections = Vec::new();
+    let mut batches = Vec::new();
+    for (id, (cost, stream)) in streams {
+        offered.insert(id.clone(), stream.len());
+        let ref_cost = RefCost::new(&cfg.service, cost.mul_count, cfg.batching.max_batch);
+        let gate = cost.slo.filter(|_| shed);
+        let plans = admit_and_plan(&id, stream, cfg.batching, gate, &ref_cost, &mut rejections);
+        for (seq, plan) in plans.into_iter().enumerate() {
+            batches.push(ScheduledBatch {
+                close_tick: plan.close_tick,
+                priority: cost.slo.map_or(0, |s| s.priority),
+                deadline_tick: cost.slo.map_or(u64::MAX, |s| {
+                    plan.requests[0]
+                        .arrival_tick
+                        .saturating_add(s.deadline_ticks)
+                }),
+                ref_ticks: ref_cost.ticks(plan.requests.len()),
+                model_id: id.clone(),
+                seq,
+                requests: plan.requests,
+            });
+        }
+    }
+    rejections
+        .sort_by(|a, b| (a.tick, &a.model, a.request_id).cmp(&(b.tick, &b.model, b.request_id)));
+    let order = order_batches(policy, &batches);
+    let mut slots: Vec<Option<ScheduledBatch>> = batches.into_iter().map(Some).collect();
+    let batches = order
+        .into_iter()
+        .map(|i| slots[i].take().expect("the order is a permutation"))
+        .collect();
+    Ok(Schedule {
+        first_arrival_tick,
+        offered,
+        rejections,
+        batches,
+    })
+}
+
+impl Schedule {
+    /// Per-model SLO bookkeeping once `completed` — the served requests of
+    /// this schedule — ran: offered and shed counts from the schedule, and
+    /// each completion met or missed against its model's deadline (`slo`
+    /// looks it up; models without an SLO count every completion as met).
+    pub(crate) fn slo_tallies(
+        &self,
+        completed: &[TaggedCompletion],
+        slo: impl Fn(&str) -> Option<SloTarget>,
+    ) -> BTreeMap<String, SloTally> {
+        let mut tallies: BTreeMap<String, SloTally> = self
+            .offered
+            .iter()
+            .map(|(id, &offered)| {
+                let tally = SloTally {
+                    offered,
+                    ..SloTally::default()
+                };
+                (id.clone(), tally)
+            })
+            .collect();
+        for r in &self.rejections {
+            tallies
+                .get_mut(&r.model)
+                .expect("rejections come from offered models")
+                .shed += 1;
+        }
+        for tc in completed {
+            let deadline = slo(&tc.model_id).map_or(u64::MAX, |s| s.deadline_ticks);
+            let tally = tallies
+                .get_mut(&tc.model_id)
+                .expect("completions come from offered models");
+            if tc.completed.latency_ticks() <= deadline {
+                tally.met += 1;
+            } else {
+                tally.missed += 1;
+            }
+        }
+        tallies
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn req(id: u64, tick: u64) -> Request {
         Request {
@@ -428,8 +551,23 @@ mod tests {
             },
             per_example,
             max_batch,
-            1,
         )
+    }
+
+    /// Admission through the merged planner replay: the admitted requests of
+    /// one model's stream, in arrival order.
+    fn admit(
+        model_id: &str,
+        requests: Vec<Request>,
+        batching: BatchConfig,
+        slo: Option<SloTarget>,
+        ref_cost: &RefCost,
+        rejections: &mut Vec<Rejection>,
+    ) -> Vec<Request> {
+        admit_and_plan(model_id, requests, batching, slo, ref_cost, rejections)
+            .into_iter()
+            .flat_map(|plan| plan.requests)
+            .collect()
     }
 
     #[test]
@@ -449,7 +587,7 @@ mod tests {
     fn no_slo_admits_everything() {
         let stream: Vec<Request> = (0..10).map(|i| req(i, i)).collect();
         let mut rejections = Vec::new();
-        let admitted = admit_stream(
+        let admitted = admit(
             "m",
             stream.clone(),
             BatchConfig::new(4, 8),
@@ -468,7 +606,7 @@ mod tests {
         let stream: Vec<Request> = (0..5).map(|i| req(i, 0)).collect();
         let slo = SloTarget::new(1_000_000, 0, 2).unwrap();
         let mut rejections = Vec::new();
-        let admitted = admit_stream(
+        let admitted = admit(
             "m",
             stream,
             BatchConfig::new(8, 100),
@@ -491,7 +629,7 @@ mod tests {
         let stream: Vec<Request> = (0..3).map(|i| req(i, 0)).collect();
         let slo = SloTarget::new(60, 0, 100).unwrap();
         let mut rejections = Vec::new();
-        let admitted = admit_stream(
+        let admitted = admit(
             "m",
             stream,
             BatchConfig::new(1, 100),
@@ -514,7 +652,7 @@ mod tests {
         stream.push(req(3, 10));
         let slo = SloTarget::new(1_000_000, 0, 1).unwrap();
         let mut rejections = Vec::new();
-        let admitted = admit_stream(
+        let admitted = admit(
             "m",
             stream,
             BatchConfig::new(8, 5),
@@ -538,6 +676,7 @@ mod tests {
             ref_ticks: 10,
             model_id: model.to_string(),
             seq,
+            requests: Vec::new(),
         }
     }
 
@@ -612,5 +751,140 @@ mod tests {
         assert!((t.shed_rate() - 0.2).abs() < 1e-12);
         assert_eq!(SloTally::default().attainment(), 1.0);
         assert_eq!(SloTally::default().shed_rate(), 0.0);
+    }
+
+    const MODELS: [&str; 3] = ["a", "b", "c"];
+    const POLICIES: [AdmissionPolicy; 3] = [
+        AdmissionPolicy::Fifo,
+        AdmissionPolicy::Priority,
+        AdmissionPolicy::EarliestDeadline,
+    ];
+
+    /// A tagged stream with request ids `0..draws.len()` from `(model, gap
+    /// kind, gap)` draws: gap kind 0 repeats the previous tick, 1 and 2 add a
+    /// short gap, 3 a long one. Ticks saturate at `u64::MAX`.
+    fn tagged_stream(start: u64, draws: &[(usize, u8, u64)]) -> Vec<TaggedRequest> {
+        let mut tick = start;
+        draws
+            .iter()
+            .enumerate()
+            .map(|(i, &(model, kind, gap))| {
+                let gap = match kind {
+                    0 => 0,
+                    3 => gap * 1_000_003,
+                    _ => gap,
+                };
+                tick = tick.saturating_add(gap);
+                TaggedRequest {
+                    model_id: MODELS[model].to_string(),
+                    request: req(i as u64, tick),
+                }
+            })
+            .collect()
+    }
+
+    proptest! {
+        #[test]
+        fn schedule_serves_or_sheds_every_request_once(
+            (start_kind, draws) in (
+                0u8..3,
+                proptest::collection::vec((0usize..3, 0u8..4, 0u64..50), 0..40),
+            ),
+            (max_batch, wait_kind, short_wait) in (1usize..=8, 0u8..3, 1u64..20),
+            slos in proptest::collection::vec(
+                (0u8..3, 1u64..400, 0u8..4, 1usize..6),
+                3,
+            ),
+            muls in proptest::collection::vec(1u64..5000, 3),
+        ) {
+            let start = [0, 1_000, u64::MAX - 200][usize::from(start_kind)];
+            let stream = tagged_stream(start, &draws);
+            let max_wait_ticks = [0, short_wait, u64::MAX][usize::from(wait_kind)];
+            let cfg = ServeConfig {
+                batching: BatchConfig::new(max_batch, max_wait_ticks),
+                service: ServiceModel::default(),
+            };
+            // Each model goes without an SLO one time in three.
+            let costs: Vec<ModelCost> = slos
+                .iter()
+                .zip(&muls)
+                .map(|(&(has, deadline_ticks, priority, max_queue_depth), &mul_count)| ModelCost {
+                    mul_count,
+                    slo: (has > 0).then_some(SloTarget {
+                        deadline_ticks,
+                        priority,
+                        max_queue_depth,
+                    }),
+                })
+                .collect();
+            let model = |id: &str| MODELS.iter().position(|m| *m == id).map(|k| costs[k]);
+            let model_of: BTreeMap<u64, &str> = stream
+                .iter()
+                .map(|r| (r.request.id, r.model_id.as_str()))
+                .collect();
+
+            let mut fifo_rejections = Vec::new();
+            for shed in [false, true] {
+                for policy in POLICIES {
+                    let s = schedule(stream.clone(), model, &cfg, policy, shed).unwrap();
+                    // Every request id exactly once, in a batch or a rejection.
+                    let mut seen: Vec<u64> = s
+                        .batches
+                        .iter()
+                        .flat_map(|b| b.requests.iter().map(|r| r.id))
+                        .chain(s.rejections.iter().map(|r| r.request_id))
+                        .collect();
+                    seen.sort_unstable();
+                    prop_assert_eq!(seen, (0..stream.len() as u64).collect::<Vec<_>>());
+                    // No batch is empty, mixes models, exceeds max_batch or
+                    // closes before a member arrived; a batch that is not
+                    // full closes at its oldest member's saturated deadline.
+                    for b in &s.batches {
+                        prop_assert!(!b.requests.is_empty() && b.requests.len() <= max_batch);
+                        let deadline = b.requests[0].arrival_tick.saturating_add(max_wait_ticks);
+                        prop_assert!(b.requests.len() == max_batch || b.close_tick == deadline);
+                        for r in &b.requests {
+                            prop_assert_eq!(model_of[&r.id], b.model_id.as_str());
+                            prop_assert!(b.close_tick >= r.arrival_tick);
+                        }
+                    }
+                    let key = |r: &Rejection| (r.tick, r.model.clone(), r.request_id);
+                    prop_assert!(s.rejections.windows(2).all(|w| key(&w[0]) <= key(&w[1])));
+                    if !shed {
+                        prop_assert!(s.rejections.is_empty());
+                    }
+                    if policy == AdmissionPolicy::Fifo {
+                        let key = |b: &ScheduledBatch| (b.close_tick, b.model_id.clone(), b.seq);
+                        prop_assert!(s.batches.windows(2).all(|w| key(&w[0]) < key(&w[1])));
+                        fifo_rejections = s.rejections.clone();
+                    }
+                    // Shedding is decided before ordering: no policy changes it.
+                    prop_assert_eq!(&s.rejections, &fifo_rejections);
+
+                    prop_assert_eq!(s.offered.values().sum::<usize>(), stream.len());
+                    for (id, &offered) in &s.offered {
+                        let mut planned: Vec<&ScheduledBatch> =
+                            s.batches.iter().filter(|b| &b.model_id == id).collect();
+                        let shed_count = s.rejections.iter().filter(|r| &r.model == id).count();
+                        let planned_count: usize = planned.iter().map(|b| b.requests.len()).sum();
+                        prop_assert_eq!(offered, planned_count + shed_count);
+                        // One replay: a model's batches are exactly the plan
+                        // of its admitted requests.
+                        planned.sort_by_key(|b| b.seq);
+                        let admitted: Vec<Request> = planned
+                            .iter()
+                            .flat_map(|b| b.requests.iter().cloned())
+                            .collect();
+                        let replanned = crate::serve::plan_batches(admitted, cfg.batching);
+                        prop_assert_eq!(replanned.len(), planned.len());
+                        for (seq, (p, b)) in replanned.iter().zip(&planned).enumerate() {
+                            prop_assert_eq!(b.seq, seq);
+                            prop_assert_eq!(p.close_tick, b.close_tick);
+                            prop_assert_eq!(&p.requests, &b.requests);
+                        }
+                    }
+                }
+            }
+        }
     }
 }
