@@ -1,28 +1,35 @@
-//! Wall-clock kernel sweep: the optimised serving kernels against the
-//! retained per-call baselines, on real hardware time.
+//! Wall-clock kernel sweep: the optimised serving kernels against their
+//! retained per-call baselines, and the permuted-diagonal kernel against
+//! dense at the same shape, on real hardware time.
 //!
-//! Three workloads, one per kernel family the scratch-arena/FFT-plan pass
-//! optimised:
+//! Three points time a kernel family against its own retained baseline:
 //!
 //! * **circulant** — [`BlockCirculantMatrix::matvec_fft_into`] (precomputed
 //!   `FftPlan` + cached weight spectra + reusable scratch) vs
 //!   [`BlockCirculantMatrix::matvec_fft_percall`] (the old body: per-call
 //!   twiddle recomputation and weight-row FFTs, fresh allocations).
-//! * **pd_f32** — the cache-blocked, arena-backed batched
-//!   [`CompressedLinear::matmul_into`] on a permuted-diagonal matrix vs a
-//!   per-row loop over [`BlockPermDiagMatrix::matvec_reference`] (the
-//!   iterator-based column traversal with a fresh output per call).
+//! * **pd_f32** — the index-free rotated-window PD kernel, batched through
+//!   [`CompressedLinear::matmul_into`] on an arena, vs a per-row loop over
+//!   [`BlockPermDiagMatrix::matvec_reference`] (the iterator-based column
+//!   traversal with a fresh output per call).
 //! * **q16_column_sparse** — the unrolled flat-accumulator
 //!   [`QuantizedLinear::matmul_q_into`] vs a per-row loop over
 //!   [`QuantizedLinear::matvec_q_reference`] (boxed `Accumulator24`s
 //!   allocated per call).
 //!
-//! Every pair is asserted **bit-identical** before timing — the optimised
-//! kernels are reorderings of memory traffic, never of arithmetic — and the
-//! binary then asserts the speedup floors the optimisation pass committed to
-//! (circulant ≥ 3x, the other two ≥ 1.2x). Unlike the tick-modeled sweeps,
-//! these numbers are machine-dependent; the floors are chosen to hold on any
-//! release build. Results land in `BENCH_wall.json` (override with
+//! Three more quote PD against the strongest baseline at its shape: the same
+//! operator stored dense, both through their production `matmul_into` (dense
+//! runs its across-batch kernel): p=8 and p=4 at the sweep's batch, and p=4
+//! at batch 1 (one single-row call per input).
+//!
+//! Every pair is asserted **bit-identical** before timing, and the binary
+//! then asserts each point's speedup floor: circulant ≥ 3x, pd_f32 and q16 ≥
+//! 1.2x, PD over dense ≥ 2.5x (p=8) and ≥ 1.1x (p=4) at batch 32, and ≥ 3x
+//! (p=4) at batch 1. Both sides of a point are timed in alternation and the
+//! speedup is the median of the per-pair ratios, so a shift in machine speed
+//! lands on both sides alike. Unlike the tick-modeled sweeps, these numbers
+//! are machine-dependent; the floors are set below what a 2-core release
+//! build measures. Results land in `BENCH_wall.json` (override with
 //! `--out PATH`).
 //!
 //! Run: `cargo run --release -p permdnn-bench --bin wall_sweep [-- --full]`
@@ -44,6 +51,8 @@ use permdnn_core::{BlockPermDiagMatrix, Scratch};
 
 struct WallPoint {
     workload: &'static str,
+    /// What the reference side runs.
+    baseline: &'static str,
     rows: usize,
     cols: usize,
     batch: usize,
@@ -54,19 +63,42 @@ struct WallPoint {
     floor: f64,
 }
 
-/// Median wall time of `reps` runs of `f`, in microseconds. `f` runs once
-/// untimed first (warm-up: populates scratch arenas and the cache).
-fn median_us(reps: usize, mut f: impl FnMut()) -> f64 {
-    f();
-    let mut samples: Vec<f64> = (0..reps)
-        .map(|_| {
-            let t = Instant::now();
-            f();
-            t.elapsed().as_secs_f64() * 1e6
-        })
-        .collect();
-    samples.sort_by(f64::total_cmp);
-    samples[samples.len() / 2]
+/// Times `optimized` and `reference` in alternation over `reps` pairs (the
+/// order flips every pair), after one untimed warm-up call of each that
+/// populates scratch arenas and the cache. Returns the median wall time of
+/// each side in microseconds and the median of the per-pair ratios
+/// `reference / optimized`: both runs of a pair see the same machine state,
+/// so a change of speed between pairs moves both sides alike.
+fn paired_us(
+    reps: usize,
+    mut optimized: impl FnMut(),
+    mut reference: impl FnMut(),
+) -> (f64, f64, f64) {
+    fn time_us(f: &mut impl FnMut()) -> f64 {
+        let t = Instant::now();
+        f();
+        t.elapsed().as_secs_f64() * 1e6
+    }
+    fn median(mut samples: Vec<f64>) -> f64 {
+        samples.sort_by(f64::total_cmp);
+        samples[samples.len() / 2]
+    }
+    optimized();
+    reference();
+    let (mut opt, mut refs, mut ratios) = (Vec::new(), Vec::new(), Vec::new());
+    for i in 0..reps {
+        let (o, r) = if i % 2 == 0 {
+            let o = time_us(&mut optimized);
+            (o, time_us(&mut reference))
+        } else {
+            let r = time_us(&mut reference);
+            (time_us(&mut optimized), r)
+        };
+        opt.push(o);
+        refs.push(r);
+        ratios.push(r / o);
+    }
+    (median(opt), median(refs), median(ratios))
 }
 
 fn main() {
@@ -78,23 +110,27 @@ fn main() {
         (512, 32, 15)
     };
 
-    print_header("Wall-clock kernel sweep: optimised vs per-call baselines");
-    println!("{n}x{n} operators, batch {batch}, median of {reps} timed passes\n");
+    print_header("Wall-clock kernel sweep: optimised vs baselines");
+    println!("{n}x{n} operators, batch {batch}, median of {reps} timed pairs\n");
     println!(
-        "{:<22} {:>12} {:>12} {:>9}",
-        "workload", "opt us", "ref us", "speedup"
+        "{:<22} {:>6} {:>12} {:>12} {:>9}",
+        "workload", "batch", "opt us", "ref us", "speedup"
     );
 
     let points = vec![
         circulant_point(n, batch, reps),
         pd_f32_point(n, batch, reps),
         q16_point(n, batch, reps),
+        pd_vs_dense_point("pd_p8_vs_dense", n, 8, batch, reps, 2.5),
+        pd_vs_dense_point("pd_p4_vs_dense", n, 4, batch, reps, 1.1),
+        pd_vs_dense_point("pd_p4_vs_dense_b1", n, 4, 1, reps, 3.0),
     ];
 
     for p in &points {
         println!(
-            "{:<22} {:>12.1} {:>12.1} {:>9}",
+            "{:<22} {:>6} {:>12.1} {:>12.1} {:>9}",
             p.workload,
+            p.batch,
             p.optimized_us,
             p.reference_us,
             ratio(p.speedup)
@@ -103,10 +139,10 @@ fn main() {
 
     println!();
     for p in &points {
-        assert_floor(&format!("{} plan speedup", p.workload), p.speedup, p.floor);
+        assert_floor(&format!("{} speedup", p.workload), p.speedup, p.floor);
         println!(
-            "  {} >= {:.1}x floor: ok (outputs bit-identical)",
-            p.workload, p.floor
+            "  {} >= {:.1}x floor over {}: ok (outputs bit-identical)",
+            p.workload, p.floor, p.baseline
         );
     }
 
@@ -130,33 +166,37 @@ fn circulant_point(n: usize, batch: usize, reps: usize) -> WallPoint {
         assert_eq!(y, y_ref, "circulant outputs must be bit-identical");
     }
 
-    let optimized_us = median_us(reps, || {
-        for x in &xs {
-            w.matvec_fft_into(black_box(x), &mut y, &mut scratch)
-                .expect("checked above");
-        }
-        black_box(&y);
-    });
-    let reference_us = median_us(reps, || {
-        for x in &xs {
-            black_box(w.matvec_fft_percall(black_box(x)).expect("checked above"));
-        }
-    });
+    let (optimized_us, reference_us, speedup) = paired_us(
+        reps,
+        || {
+            for x in &xs {
+                w.matvec_fft_into(black_box(x), &mut y, &mut scratch)
+                    .expect("checked above");
+            }
+            black_box(&y);
+        },
+        || {
+            for x in &xs {
+                black_box(w.matvec_fft_percall(black_box(x)).expect("checked above"));
+            }
+        },
+    );
 
     WallPoint {
         workload: "circulant_fft",
+        baseline: "per-call FFT matvec",
         rows: n,
         cols: n,
         batch,
         reps,
         optimized_us,
         reference_us,
-        speedup: reference_us / optimized_us,
+        speedup,
         floor: 3.0,
     }
 }
 
-/// Cache-blocked batched PD kernel vs a per-row reference-matvec loop.
+/// The batched index-free PD kernel vs a per-row reference-matvec loop.
 fn pd_f32_point(n: usize, batch: usize, reps: usize) -> WallPoint {
     let p = 8;
     let w = BlockPermDiagMatrix::random(n, n, p, &mut seeded_rng(21));
@@ -173,28 +213,32 @@ fn pd_f32_point(n: usize, batch: usize, reps: usize) -> WallPoint {
         assert_eq!(out_row, &y_ref[..], "PD f32 outputs must be bit-identical");
     }
 
-    let optimized_us = median_us(reps, || {
-        w.matmul_into(black_box(&xs), &mut out, &mut scratch)
-            .expect("checked above");
-        black_box(&out);
-    });
-    let reference_us = median_us(reps, || {
-        for i in 0..batch {
-            let mut y = vec![0.0f32; n];
-            w.matvec_reference(black_box(xs.row(i)), &mut y);
-            black_box(&y);
-        }
-    });
+    let (optimized_us, reference_us, speedup) = paired_us(
+        reps,
+        || {
+            w.matmul_into(black_box(&xs), &mut out, &mut scratch)
+                .expect("checked above");
+            black_box(&out);
+        },
+        || {
+            for i in 0..batch {
+                let mut y = vec![0.0f32; n];
+                w.matvec_reference(black_box(xs.row(i)), &mut y);
+                black_box(&y);
+            }
+        },
+    );
 
     WallPoint {
         workload: "pd_f32",
+        baseline: "per-row matvec_reference",
         rows: n,
         cols: n,
         batch,
         reps,
         optimized_us,
         reference_us,
-        speedup: reference_us / optimized_us,
+        speedup,
         floor: 1.2,
     }
 }
@@ -233,32 +277,104 @@ fn q16_point(n: usize, batch: usize, reps: usize) -> WallPoint {
     }
     assert_eq!(stats, stats_ref, "datapath counters must match exactly");
 
-    let optimized_us = median_us(reps, || {
-        black_box(
-            q.matmul_q_into(black_box(&xs_raw), batch, &mut out, &mut scratch)
-                .expect("checked above"),
-        );
-    });
-    let reference_us = median_us(reps, || {
-        for i in 0..batch {
-            let mut y = vec![0i16; n];
+    let (optimized_us, reference_us, speedup) = paired_us(
+        reps,
+        || {
             black_box(
-                q.matvec_q_reference(black_box(&xs_raw[i * n..(i + 1) * n]), &mut y)
+                q.matmul_q_into(black_box(&xs_raw), batch, &mut out, &mut scratch)
                     .expect("checked above"),
             );
-        }
-    });
+        },
+        || {
+            for i in 0..batch {
+                let mut y = vec![0i16; n];
+                black_box(
+                    q.matvec_q_reference(black_box(&xs_raw[i * n..(i + 1) * n]), &mut y)
+                        .expect("checked above"),
+                );
+            }
+        },
+    );
 
     WallPoint {
         workload: "q16_column_sparse",
+        baseline: "per-row matvec_q_reference",
         rows: n,
         cols: n,
         batch,
         reps,
         optimized_us,
         reference_us,
-        speedup: reference_us / optimized_us,
+        speedup,
         floor: 1.2,
+    }
+}
+
+/// PD at block size `p` vs the same operator stored dense, both through
+/// their production `matmul_into` on one arena. At batch 1 each timed pass
+/// makes 32 single-row calls, one per input, as a batch-1 server would.
+fn pd_vs_dense_point(
+    workload: &'static str,
+    n: usize,
+    p: usize,
+    batch: usize,
+    reps: usize,
+    floor: f64,
+) -> WallPoint {
+    let w = BlockPermDiagMatrix::random(n, n, p, &mut seeded_rng(41));
+    let dense = w.to_dense();
+    let calls = if batch == 1 { 32 } else { 1 };
+    let xs_mat = batch_matrix(n, batch * calls, 42);
+    let views: Vec<BatchView<'_>> = xs_mat
+        .as_slice()
+        .chunks(batch * n)
+        .map(|rows| BatchView::new(rows, batch, n).expect("rows of n inputs"))
+        .collect();
+
+    // Dense adds the structural zeros too, but `w · x + (±0)` leaves every
+    // running sum as it is, so both formats agree bit for bit.
+    let (mut pd_scratch, mut dense_scratch) = (Scratch::new(), Scratch::new());
+    let mut out = vec![0.0f32; batch * n];
+    let mut out_dense = vec![0.0f32; batch * n];
+    for xs in &views {
+        w.matmul_into(xs, &mut out, &mut pd_scratch)
+            .expect("dimensions match");
+        dense
+            .matmul_into(xs, &mut out_dense, &mut dense_scratch)
+            .expect("dimensions match");
+        assert_eq!(out, out_dense, "PD and dense outputs must be bit-identical");
+    }
+
+    let (optimized_us, reference_us, speedup) = paired_us(
+        reps,
+        || {
+            for xs in &views {
+                w.matmul_into(black_box(xs), &mut out, &mut pd_scratch)
+                    .expect("checked above");
+            }
+            black_box(&out);
+        },
+        || {
+            for xs in &views {
+                dense
+                    .matmul_into(black_box(xs), &mut out_dense, &mut dense_scratch)
+                    .expect("checked above");
+            }
+            black_box(&out_dense);
+        },
+    );
+
+    WallPoint {
+        workload,
+        baseline: "dense matmul_into",
+        rows: n,
+        cols: n,
+        batch,
+        reps,
+        optimized_us,
+        reference_us,
+        speedup,
+        floor,
     }
 }
 
@@ -277,16 +393,17 @@ fn render_json(points: &[WallPoint]) -> String {
     let _ = writeln!(s, "  \"bench\": \"wall_sweep\",");
     let _ = writeln!(
         s,
-        "  \"note\": \"wall-clock medians, machine-dependent; outputs asserted bit-identical and speedups asserted >= floor before this file is written\","
+        "  \"note\": \"wall-clock medians over alternating optimized/reference pairs, machine-dependent; speedup is the median per-pair ratio; outputs asserted bit-identical and speedups asserted >= floor before this file is written\","
     );
     s.push_str("  \"results\": [\n");
     for (i, p) in points.iter().enumerate() {
         let _ = write!(
             s,
-            "    {{\"workload\": \"{}\", \"rows\": {}, \"cols\": {}, \"batch\": {}, \"reps\": {}, \
-             \"optimized_us\": {:.1}, \"reference_us\": {:.1}, \"speedup\": {:.2}, \
-             \"floor\": {:.1}, \"bit_identical\": true}}",
+            "    {{\"workload\": \"{}\", \"baseline\": \"{}\", \"rows\": {}, \"cols\": {}, \
+             \"batch\": {}, \"reps\": {}, \"optimized_us\": {:.1}, \"reference_us\": {:.1}, \
+             \"speedup\": {:.2}, \"floor\": {:.1}, \"bit_identical\": true}}",
             p.workload,
+            p.baseline,
             p.rows,
             p.cols,
             p.batch,

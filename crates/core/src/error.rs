@@ -5,6 +5,14 @@
 pub enum PdError {
     /// The block size `p` was zero.
     ZeroBlockSize,
+    /// The block size exceeds the largest one whose permutation parameters
+    /// fit a `u16`.
+    BlockSizeTooLarge {
+        /// The requested block size.
+        p: usize,
+        /// The largest supported block size.
+        max: usize,
+    },
     /// A permutation parameter was outside `0..p`.
     InvalidPermutation {
         /// The offending permutation value.
@@ -49,6 +57,9 @@ impl std::fmt::Display for PdError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             PdError::ZeroBlockSize => write!(f, "block size p must be non-zero"),
+            PdError::BlockSizeTooLarge { p, max } => {
+                write!(f, "block size {p} exceeds the largest supported ({max})")
+            }
             PdError::InvalidPermutation { k, p } => {
                 write!(f, "permutation parameter {k} is not in 0..{p}")
             }

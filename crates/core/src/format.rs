@@ -60,6 +60,15 @@ pub enum FormatError {
         /// Supplied slice length.
         got: usize,
     },
+    /// A batch's flat length `batch · dim` does not fit a `usize`.
+    LengthOverflow {
+        /// The operation that failed (e.g. `"BatchView::new"`).
+        op: &'static str,
+        /// Number of vectors in the batch.
+        batch: usize,
+        /// Length of each vector.
+        dim: usize,
+    },
     /// A format-specific invariant was violated during construction or execution.
     Format {
         /// The format's label.
@@ -76,6 +85,12 @@ impl std::fmt::Display for FormatError {
                 write!(
                     f,
                     "dimension mismatch in {op}: expected length {expected}, got {got}"
+                )
+            }
+            FormatError::LengthOverflow { op, batch, dim } => {
+                write!(
+                    f,
+                    "length overflow in {op}: {batch} vectors of length {dim}"
                 )
             }
             FormatError::Format { format, reason } => {
@@ -111,6 +126,14 @@ pub fn check_dim(op: &'static str, expected: usize, got: usize) -> Result<(), Fo
     }
 }
 
+/// The flat length `batch · dim` of a row-major batch, or
+/// [`FormatError::LengthOverflow`] when the product does not fit a `usize`.
+pub fn batch_len(op: &'static str, batch: usize, dim: usize) -> Result<usize, FormatError> {
+    batch
+        .checked_mul(dim)
+        .ok_or(FormatError::LengthOverflow { op, batch, dim })
+}
+
 /// A borrowed batch of `batch` input vectors of length `dim`, stored
 /// contiguously row-major (one vector per row).
 #[derive(Debug, Clone, Copy)]
@@ -126,9 +149,11 @@ impl<'a> BatchView<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::DimensionMismatch`] if `data.len() != batch * dim`.
+    /// Returns [`FormatError::DimensionMismatch`] if `data.len() != batch * dim`,
+    /// or [`FormatError::LengthOverflow`] if that product overflows.
     pub fn new(data: &'a [f32], batch: usize, dim: usize) -> Result<Self, FormatError> {
-        check_dim("BatchView::new", batch * dim, data.len())?;
+        let len = batch_len("BatchView::new", batch, dim)?;
+        check_dim("BatchView::new", len, data.len())?;
         Ok(BatchView { data, batch, dim })
     }
 
@@ -264,14 +289,16 @@ pub trait CompressedLinear: Send + Sync {
     /// sparse activations; this counter reports the dense-input worst case.
     fn mul_count(&self) -> u64;
 
-    /// Whether the format's kernel can skip zero *input* activations.
+    /// Whether the format's hardware dataflow can skip zero *input* activations.
     ///
     /// This is the dynamic-sparsity axis of the paper's comparison: the
     /// time-domain formats (permuted diagonal, CSC/EIE) process only non-zero
-    /// activations, while the frequency-domain circulant format transforms the
-    /// whole input (its time-domain zeros are lost, Section II-C) and a dense
-    /// mat-vec reads every column regardless. Consumers such as the cycle
-    /// model use this to decide whether activation sparsity buys latency.
+    /// activations on their PEs, while the frequency-domain circulant format
+    /// transforms the whole input (its time-domain zeros are lost, Section
+    /// II-C) and a dense mat-vec reads every column regardless. The cycle
+    /// model charges this dataflow to decide whether activation sparsity buys
+    /// latency. It says nothing about whether a format's f32 CPU kernel
+    /// branches on zeros: the permuted-diagonal kernel, for one, does not.
     fn exploits_input_sparsity(&self) -> bool {
         false
     }
@@ -327,13 +354,15 @@ pub trait CompressedLinear: Send + Sync {
     ///
     /// This is the allocation-free hot path `permdnn_runtime::ParallelExecutor`
     /// drives per worker shard. The default applies
-    /// [`matvec_scratch`](Self::matvec_scratch) row by row; formats with a
-    /// cache-blocked batched kernel (dense, permuted diagonal, CSC) override it.
+    /// [`matvec_scratch`](Self::matvec_scratch) row by row (the permuted-diagonal
+    /// kernel runs this way); formats with a batched kernel of their own
+    /// (dense, CSC) override it.
     ///
     /// # Errors
     ///
     /// Returns [`FormatError::DimensionMismatch`] unless `xs.dim() == in_dim()`
-    /// and `out.len() == xs.batch() * out_dim()`.
+    /// and `out.len() == xs.batch() * out_dim()`, and
+    /// [`FormatError::LengthOverflow`] if that product overflows.
     fn matmul_into(
         &self,
         xs: &BatchView<'_>,
@@ -342,7 +371,11 @@ pub trait CompressedLinear: Send + Sync {
     ) -> Result<(), FormatError> {
         check_dim("matmul_into", self.in_dim(), xs.dim())?;
         let m = self.out_dim();
-        check_dim("matmul_into", xs.batch() * m, out.len())?;
+        check_dim(
+            "matmul_into",
+            batch_len("matmul_into", xs.batch(), m)?,
+            out.len(),
+        )?;
         for i in 0..xs.batch() {
             self.matvec_scratch(xs.row(i), &mut out[i * m..(i + 1) * m], scratch)?;
         }
@@ -354,8 +387,10 @@ pub trait CompressedLinear: Send + Sync {
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::DimensionMismatch`] if `xs.dim() != in_dim()`.
+    /// Returns [`FormatError::DimensionMismatch`] if `xs.dim() != in_dim()`,
+    /// or [`FormatError::LengthOverflow`] if `xs.batch() * out_dim()` overflows.
     fn matmul(&self, xs: &BatchView<'_>) -> Result<Matrix, FormatError> {
+        batch_len("matmul", xs.batch(), self.out_dim())?;
         let mut out = Matrix::zeros(xs.batch(), self.out_dim());
         self.matmul_into(xs, out.as_mut_slice(), &mut Scratch::new())?;
         Ok(out)
@@ -436,72 +471,25 @@ impl CompressedLinear for BlockPermDiagMatrix {
         true
     }
 
-    /// Delegates to the column-wise, input-zero-skipping kernel the PERMDNN
-    /// hardware uses (Fig. 5): zero activations are skipped entirely. Streams
-    /// the precomputed [`column_kernel`](BlockPermDiagMatrix::column_kernel)
-    /// index arrays instead of re-deriving the permutation arithmetic per
-    /// entry; identical entry order, so bit-identical to
-    /// [`matvec_reference`](BlockPermDiagMatrix::matvec_reference).
     fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), FormatError> {
-        check_dim("matvec_into", self.cols(), x.len())?;
-        check_dim("matvec_into", self.rows(), y.len())?;
-        y.fill(0.0);
-        let (col_ptr, rows, vals) = self.column_kernel();
-        let values = self.values();
-        for (j, &xj) in x.iter().enumerate() {
-            if xj == 0.0 {
-                continue;
-            }
-            let (s, e) = (col_ptr[j] as usize, col_ptr[j + 1] as usize);
-            for (&i, &v) in rows[s..e].iter().zip(&vals[s..e]) {
-                y[i as usize] += values[v as usize] * xj;
-            }
-        }
-        Ok(())
+        self.matvec_scratch(x, y, &mut Scratch::new())
     }
 
-    /// Cache-blocked batched kernel: processes the batch in chunks of rows and,
-    /// within a chunk, walks columns once, scattering each column's kernel
-    /// entries across all chunk rows while the index arrays are hot in cache.
-    /// Per output row the columns still arrive in ascending order with the
-    /// same entry order per column, so every row is bit-identical to
-    /// `matvec_into` on that row.
-    fn matmul_into(
+    /// The index-free rotated-window kernel (see
+    /// `BlockPermDiagMatrix::matvec_windows`): every column is computed from
+    /// `(c + k_l) mod p`, and the input windows live in a `scratch` slot.
+    /// Bit-identical to [`matvec_reference`](BlockPermDiagMatrix::matvec_reference)
+    /// for finite weights. Batches run through the trait's default
+    /// `matmul_into`, so matvec and matmul share this one kernel.
+    fn matvec_scratch(
         &self,
-        xs: &BatchView<'_>,
-        out: &mut [f32],
+        x: &[f32],
+        y: &mut [f32],
         scratch: &mut Scratch,
     ) -> Result<(), FormatError> {
-        let _ = scratch;
-        check_dim("matmul_into", self.cols(), xs.dim())?;
-        let m = self.rows();
-        check_dim("matmul_into", xs.batch() * m, out.len())?;
-        if m == 0 || xs.batch() == 0 {
-            return Ok(());
-        }
-        let (col_ptr, rows, vals) = self.column_kernel();
-        let values = self.values();
-        const CHUNK: usize = 16;
-        for (chunk_idx, out_chunk) in out.chunks_mut(CHUNK * m).enumerate() {
-            let b0 = chunk_idx * CHUNK;
-            let chunk_rows = out_chunk.len() / m;
-            out_chunk.fill(0.0);
-            for j in 0..self.cols() {
-                let (s, e) = (col_ptr[j] as usize, col_ptr[j + 1] as usize);
-                if s == e {
-                    continue;
-                }
-                for (bi, y) in out_chunk.chunks_mut(m).enumerate().take(chunk_rows) {
-                    let xj = xs.row(b0 + bi)[j];
-                    if xj == 0.0 {
-                        continue;
-                    }
-                    for (&i, &v) in rows[s..e].iter().zip(&vals[s..e]) {
-                        y[i as usize] += values[v as usize] * xj;
-                    }
-                }
-            }
-        }
+        check_dim("matvec_into", self.cols(), x.len())?;
+        check_dim("matvec_into", self.rows(), y.len())?;
+        self.matvec_windows(x, y, scratch);
         Ok(())
     }
 
@@ -533,9 +521,6 @@ impl CompressedLinear for BlockPermDiagMatrix {
     }
 
     fn write_snapshot(&self, out: &mut crate::snapshot::ByteWriter) -> Option<u16> {
-        if !crate::snapshot::pd_perms_encodable(self.p()) {
-            return None;
-        }
         crate::snapshot::write_pd_matrix(self, out);
         Some(crate::snapshot::FORMAT_PERMUTED_DIAGONAL)
     }
@@ -575,39 +560,47 @@ impl CompressedLinear for Matrix {
         Ok(())
     }
 
-    /// Cache-blocked batched kernel: for each chunk of batch rows, the outer
-    /// loop walks weight rows so one `W` row is streamed once against every
-    /// input vector in the chunk while it is hot in cache. Each output is
-    /// still the same left-to-right dot product as `matvec_into`, so results
-    /// are bit-identical to the per-row default.
+    /// Across-batch kernel: the batch runs in chunks of 16, 8, 4 or 2 rows
+    /// (a chunk's size follows from the rows left), each transposed once into
+    /// a `scratch` slot so that every weight `w[r][k]` is multiplied into an
+    /// `[f32; NB]` register accumulator, one lane per batch row. Each output
+    /// still sums `w[r][k] · x[k]` left to right over `k`, so results are
+    /// bit-identical to `matvec_into`, which a single-row chunk runs.
     fn matmul_into(
         &self,
         xs: &BatchView<'_>,
         out: &mut [f32],
         scratch: &mut Scratch,
     ) -> Result<(), FormatError> {
-        let _ = scratch;
         check_dim("matmul_into", self.cols(), xs.dim())?;
         let m = self.rows();
-        check_dim("matmul_into", xs.batch() * m, out.len())?;
-        if m == 0 || xs.batch() == 0 {
+        check_dim(
+            "matmul_into",
+            batch_len("matmul_into", xs.batch(), m)?,
+            out.len(),
+        )?;
+        if m == 0 {
             return Ok(());
         }
-        const CHUNK: usize = 16;
-        for (chunk_idx, out_chunk) in out.chunks_mut(CHUNK * m).enumerate() {
-            let b0 = chunk_idx * CHUNK;
-            let chunk_rows = out_chunk.len() / m;
-            for r in 0..m {
-                let w_row = self.row(r);
-                for bi in 0..chunk_rows {
-                    let x = xs.row(b0 + bi);
-                    let mut acc = 0.0f32;
-                    for (w, xv) in w_row.iter().zip(x.iter()) {
-                        acc += w * xv;
-                    }
-                    out_chunk[bi * m + r] = acc;
-                }
+        let xt = &mut scratch.slot::<DenseScratch>().xt;
+        let mut b0 = 0;
+        while b0 < xs.batch() {
+            let nb = match xs.batch() - b0 {
+                16.. => 16,
+                8..=15 => 8,
+                4..=7 => 4,
+                2 | 3 => 2,
+                _ => 1,
+            };
+            let chunk = &mut out[b0 * m..(b0 + nb) * m];
+            match nb {
+                16 => dense_chunk::<16>(self, xs, b0, chunk, xt),
+                8 => dense_chunk::<8>(self, xs, b0, chunk, xt),
+                4 => dense_chunk::<4>(self, xs, b0, chunk, xt),
+                2 => dense_chunk::<2>(self, xs, b0, chunk, xt),
+                _ => self.matvec_into(xs.row(b0), chunk)?,
             }
+            b0 += nb;
         }
         Ok(())
     }
@@ -627,6 +620,42 @@ impl CompressedLinear for Matrix {
     fn write_snapshot(&self, out: &mut crate::snapshot::ByteWriter) -> Option<u16> {
         crate::snapshot::write_dense(self, out);
         Some(crate::snapshot::FORMAT_DENSE)
+    }
+}
+
+/// Dense's across-batch buffer: one batch chunk transposed to `cols × NB`.
+#[derive(Debug, Default)]
+struct DenseScratch {
+    xt: Vec<f32>,
+}
+
+/// Rows `b0..b0 + NB` of `xs` through `w`, into the `NB × rows` block `out`.
+fn dense_chunk<const NB: usize>(
+    w: &Matrix,
+    xs: &BatchView<'_>,
+    b0: usize,
+    out: &mut [f32],
+    xt: &mut Vec<f32>,
+) {
+    let m = w.rows();
+    xt.clear();
+    xt.resize(w.cols() * NB, 0.0);
+    for b in 0..NB {
+        for (xk, &v) in xt.chunks_exact_mut(NB).zip(xs.row(b0 + b)) {
+            xk[b] = v;
+        }
+    }
+    for r in 0..m {
+        let mut acc = [0.0f32; NB];
+        for (&wk, xk) in w.row(r).iter().zip(xt.chunks_exact(NB)) {
+            let xk: &[f32; NB] = xk.try_into().expect("chunks_exact yields NB values");
+            for b in 0..NB {
+                acc[b] += wk * xk[b];
+            }
+        }
+        for (b, &a) in acc.iter().enumerate() {
+            out[b * m + r] = a;
+        }
     }
 }
 
@@ -693,8 +722,8 @@ mod tests {
 
     #[test]
     fn blocked_matmul_matches_per_row_matvec_across_chunk_boundaries() {
-        // Batch 37 exercises full 16-row chunks plus a ragged 5-row tail for
-        // both cache-blocked overrides (dense and permuted diagonal).
+        // Batch 37 exercises full 16-row chunks plus a ragged 5-row tail of
+        // dense's across-batch kernel, and PD's row-by-row default.
         let dense = xavier_uniform(&mut seeded_rng(20), 11, 9);
         let pd = BlockPermDiagMatrix::random(6, 9, 3, &mut seeded_rng(21));
         let xs_mat = xavier_uniform(&mut seeded_rng(22), 37, 9);
@@ -708,7 +737,7 @@ mod tests {
     }
 
     #[test]
-    fn pd_cached_kernel_matches_reference_matvec() {
+    fn pd_index_free_kernel_matches_reference_matvec() {
         let w = BlockPermDiagMatrix::random(24, 36, 4, &mut seeded_rng(23));
         let x = sparse_activation_vector(&mut seeded_rng(24), 36, 0.4);
         let mut reference = vec![0.0f32; 24];

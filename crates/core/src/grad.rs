@@ -50,7 +50,7 @@ pub fn weight_gradient(
     for br in 0..w.block_rows() {
         for bc in 0..block_cols {
             let l = br * block_cols + bc;
-            let k = w.perms()[l];
+            let k = usize::from(w.perms()[l]);
             for c in 0..p {
                 let i = br * p + c;
                 let j = bc * p + (c + k) % p;
@@ -144,7 +144,7 @@ mod tests {
             for br in 0..w.block_rows() {
                 for bc in 0..w.block_cols() {
                     let l = br * w.block_cols() + bc;
-                    let k = w.perms()[l];
+                    let k = usize::from(w.perms()[l]);
                     for c in 0..p {
                         let i = br * p + c;
                         let j = bc * p + (c + k) % p;

@@ -38,7 +38,7 @@ pub fn matvec(w: &BlockPermDiagMatrix, x: &[f32]) -> Result<Vec<f32>, PdError> {
         let mut acc = 0.0f32;
         for g in 0..block_cols {
             let l = br * block_cols + g;
-            let k = w.perms()[l];
+            let k = usize::from(w.perms()[l]);
             let j = g * p + (c + k) % p;
             if j < w.cols() {
                 acc += w.values()[l * p + c] * x[j];
@@ -109,7 +109,7 @@ pub fn matvec_transposed(w: &BlockPermDiagMatrix, x: &[f32]) -> Result<Vec<f32>,
         let mut acc = 0.0f32;
         for g in 0..block_rows {
             let l = g * block_cols + bc;
-            let k = w.perms()[l];
+            let k = usize::from(w.perms()[l]);
             let c = (d + p - k) % p;
             let i = g * p + c;
             if i < w.rows() {

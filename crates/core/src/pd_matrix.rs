@@ -4,7 +4,7 @@ use pd_tensor::init::xavier_uniform;
 use pd_tensor::Matrix;
 use rand::Rng;
 
-use crate::{PdError, PermutedDiagonalBlock};
+use crate::{PdError, PermutedDiagonalBlock, Scratch};
 
 /// How the per-block permutation parameters `k_l` are chosen (Section III-D).
 ///
@@ -33,7 +33,9 @@ pub enum PermutationIndexing {
 ///
 /// with `c = i mod p`, `d = j mod p`. Only the `q` vector (one value per block row-slot)
 /// and the small `k_l` vector are stored: the compression ratio over a dense matrix is
-/// exactly `p`, with no per-entry index storage at all.
+/// exactly `p`, with no per-entry index storage at all. The matvec kernel
+/// (`CompressedLinear::matvec_scratch`) computes every column from `(c + k_l) mod p`
+/// as the paper's PE does, so the decoded operator holds nothing beyond `q` and `k_l`.
 ///
 /// # Example
 ///
@@ -51,25 +53,24 @@ pub struct BlockPermDiagMatrix {
     p: usize,
     block_rows: usize,
     block_cols: usize,
-    /// Permutation parameter `k_l` per block, indexed `l = block_row * block_cols + block_col`.
-    perms: Vec<usize>,
+    /// Permutation parameter `k_l` per block, indexed `l = block_row * block_cols + block_col`,
+    /// at the snapshot's own `u16` width ([`MAX_BLOCK_SIZE`](Self::MAX_BLOCK_SIZE) bounds `p`).
+    perms: Vec<u16>,
     /// Stored non-zero values `q`, indexed `l * p + c` where `c` is the row within block `l`.
     values: Vec<f32>,
-    /// Column-kernel cache: `kernel_col_ptr[j]..kernel_col_ptr[j+1]` indexes
-    /// the entries of column `j` in `kernel_rows` / `kernel_vals`. Structure
-    /// only — value *indices*, never value copies, so training updates through
-    /// [`values_mut`](Self::values_mut) stay visible. Built once in
-    /// [`new`](Self::new) (perms are immutable after construction), it
-    /// replaces the per-call modulo arithmetic of
-    /// [`column_nonzeros`](Self::column_nonzeros) on the matvec hot path.
-    kernel_col_ptr: Vec<u32>,
-    /// Output row of each cached column entry.
-    kernel_rows: Vec<u32>,
-    /// Index into `values` of each cached column entry.
-    kernel_vals: Vec<u32>,
 }
 
+/// The rotated-window kernel's input buffer, held in a [`Scratch`] slot: each
+/// block column's `p` inputs (zero-padded past `cols`) written twice in a row,
+/// so rotation `k` of block column `bc` is the window `[bc·2p + k ..][..p]`.
+#[derive(Debug, Default)]
+struct PdWindows(Vec<f32>);
+
 impl BlockPermDiagMatrix {
+    /// Largest supported block size: every `k_l < p` then fits the `u16` the
+    /// matrix and its snapshot record hold it in.
+    pub const MAX_BLOCK_SIZE: usize = u16::MAX as usize + 1;
+
     /// Creates a matrix from explicit permutation parameters and stored values.
     ///
     /// `perms.len()` must equal the number of blocks and `values.len()` must equal
@@ -77,7 +78,8 @@ impl BlockPermDiagMatrix {
     ///
     /// # Errors
     ///
-    /// Returns [`PdError`] if `p == 0`, any `k_l >= p`, or the slices have wrong lengths.
+    /// Returns [`PdError`] if `p == 0`, `p > MAX_BLOCK_SIZE`, any `k_l >= p`, or the
+    /// slices have wrong lengths.
     pub fn new(
         rows: usize,
         cols: usize,
@@ -87,6 +89,12 @@ impl BlockPermDiagMatrix {
     ) -> Result<Self, PdError> {
         if p == 0 {
             return Err(PdError::ZeroBlockSize);
+        }
+        if p > Self::MAX_BLOCK_SIZE {
+            return Err(PdError::BlockSizeTooLarge {
+                p,
+                max: Self::MAX_BLOCK_SIZE,
+            });
         }
         let block_rows = rows.div_ceil(p);
         let block_cols = cols.div_ceil(p);
@@ -106,28 +114,8 @@ impl BlockPermDiagMatrix {
                 expected: nblocks * p,
             });
         }
-        // Build the column-kernel cache: the same (row, value-index) walk
-        // `column_nonzeros` produces, flattened into CSC-style arrays so the
-        // matvec kernel streams plain indices instead of recomputing
-        // `(d + p - k_l) % p` per entry per call.
-        let mut kernel_col_ptr = Vec::with_capacity(cols + 1);
-        let mut kernel_rows = Vec::with_capacity(block_rows * cols);
-        let mut kernel_vals = Vec::with_capacity(block_rows * cols);
-        kernel_col_ptr.push(0u32);
-        for j in 0..cols {
-            let d = j % p;
-            let bc = j / p;
-            for br in 0..block_rows {
-                let l = br * block_cols + bc;
-                let c = (d + p - perms[l]) % p;
-                let i = br * p + c;
-                if i < rows {
-                    kernel_rows.push(i as u32);
-                    kernel_vals.push((l * p + c) as u32);
-                }
-            }
-            kernel_col_ptr.push(kernel_rows.len() as u32);
-        }
+        // Lossless: every k < p <= MAX_BLOCK_SIZE.
+        let perms = perms.into_iter().map(|k| k as u16).collect();
         Ok(BlockPermDiagMatrix {
             rows,
             cols,
@@ -136,9 +124,6 @@ impl BlockPermDiagMatrix {
             block_cols,
             perms,
             values,
-            kernel_col_ptr,
-            kernel_rows,
-            kernel_vals,
         })
     }
 
@@ -171,7 +156,7 @@ impl BlockPermDiagMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `p == 0`.
+    /// Panics if `p == 0` or `p > MAX_BLOCK_SIZE`.
     pub fn random(rows: usize, cols: usize, p: usize, rng: &mut impl Rng) -> Self {
         Self::random_with_indexing(rows, cols, p, PermutationIndexing::Natural, rng)
     }
@@ -180,7 +165,7 @@ impl BlockPermDiagMatrix {
     ///
     /// # Panics
     ///
-    /// Panics if `p == 0`.
+    /// Panics if `p == 0` or `p > MAX_BLOCK_SIZE`.
     pub fn random_with_indexing(
         rows: usize,
         cols: usize,
@@ -189,6 +174,11 @@ impl BlockPermDiagMatrix {
         rng: &mut impl Rng,
     ) -> Self {
         assert!(p > 0, "block size p must be non-zero");
+        assert!(
+            p <= Self::MAX_BLOCK_SIZE,
+            "block size {p} exceeds {}",
+            Self::MAX_BLOCK_SIZE
+        );
         let block_rows = rows.div_ceil(p);
         let block_cols = cols.div_ceil(p);
         let nblocks = block_rows * block_cols;
@@ -241,7 +231,7 @@ impl BlockPermDiagMatrix {
     }
 
     /// The per-block permutation parameters `k_l`.
-    pub fn perms(&self) -> &[usize] {
+    pub fn perms(&self) -> &[u16] {
         &self.perms
     }
 
@@ -275,7 +265,12 @@ impl BlockPermDiagMatrix {
     pub fn perm_at(&self, i: usize, j: usize) -> usize {
         assert!(i < self.rows && j < self.cols, "index out of bounds");
         let l = (i / self.p) * self.block_cols + (j / self.p);
-        self.perms[l]
+        self.perm(l)
+    }
+
+    /// The permutation parameter `k_l` of block `l`, widened for index arithmetic.
+    fn perm(&self, l: usize) -> usize {
+        usize::from(self.perms[l])
     }
 
     /// Entry `(i, j)` following Eqn. (1).
@@ -293,7 +288,7 @@ impl BlockPermDiagMatrix {
         let c = i % self.p;
         let d = j % self.p;
         let l = (i / self.p) * self.block_cols + (j / self.p);
-        if (c + self.perms[l]) % self.p == d {
+        if (c + self.perm(l)) % self.p == d {
             self.values[l * self.p + c]
         } else {
             0.0
@@ -344,7 +339,7 @@ impl BlockPermDiagMatrix {
         );
         let l = block_row * self.block_cols + block_col;
         let values = self.values[l * self.p..(l + 1) * self.p].to_vec();
-        PermutedDiagonalBlock::new(values, self.perms[l])
+        PermutedDiagonalBlock::new(values, self.perm(l))
             .expect("block invariants hold by construction")
     }
 
@@ -381,7 +376,7 @@ impl BlockPermDiagMatrix {
                 let c = i % p;
                 let d = j % p;
                 let l = (i / p) * out.block_cols + (j / p);
-                if (c + out.perms[l]) % p == d {
+                if (c + out.perm(l)) % p == d {
                     out.values[l * p + c] = v;
                 } else {
                     return Err(PdError::NotPermutedDiagonal { row: i, col: j });
@@ -399,7 +394,7 @@ impl BlockPermDiagMatrix {
                 let l = br * self.block_cols + bc;
                 for c in 0..self.p {
                     let i = br * self.p + c;
-                    let j = bc * self.p + (c + self.perms[l]) % self.p;
+                    let j = bc * self.p + (c + self.perm(l)) % self.p;
                     if i < self.rows && j < self.cols {
                         count += 1;
                     }
@@ -419,7 +414,7 @@ impl BlockPermDiagMatrix {
                 let l = br * self.block_cols + bc;
                 for c in 0..self.p {
                     let i = br * self.p + c;
-                    let j = bc * self.p + (c + self.perms[l]) % self.p;
+                    let j = bc * self.p + (c + self.perm(l)) % self.p;
                     if i < self.rows && j < self.cols {
                         counts[i] += 1;
                     }
@@ -437,7 +432,7 @@ impl BlockPermDiagMatrix {
                 let l = br * self.block_cols + bc;
                 for c in 0..self.p {
                     let i = br * self.p + c;
-                    let j = bc * self.p + (c + self.perms[l]) % self.p;
+                    let j = bc * self.p + (c + self.perm(l)) % self.p;
                     if i < self.rows && j < self.cols {
                         counts[j] += 1;
                     }
@@ -470,7 +465,7 @@ impl BlockPermDiagMatrix {
         let block_cols = self.block_cols;
         (0..self.block_rows).filter_map(move |br| {
             let l = br * block_cols + bc;
-            let c = (d + p - self.perms[l]) % p;
+            let c = (d + p - self.perm(l)) % p;
             let i = br * p + c;
             if i < rows {
                 Some((i, l * p + c))
@@ -480,21 +475,15 @@ impl BlockPermDiagMatrix {
         })
     }
 
-    /// The cached column-kernel arrays `(col_ptr, rows, value_indices)`:
-    /// `col_ptr[j]..col_ptr[j+1]` indexes column `j`'s entries, in exactly the
-    /// order [`column_nonzeros`](Self::column_nonzeros) yields them. The fast
-    /// matvec kernel and the batched cache-blocked kernel stream these instead
-    /// of recomputing the permutation arithmetic per call.
-    pub fn column_kernel(&self) -> (&[u32], &[u32], &[u32]) {
-        (&self.kernel_col_ptr, &self.kernel_rows, &self.kernel_vals)
-    }
-
-    /// The pre-cache column-wise matvec: recomputes `(d + p - k_l) % p` for
-    /// every entry on every call through [`column_nonzeros`](Self::column_nonzeros).
+    /// The column-wise matvec, one structural non-zero at a time: for every
+    /// non-zero input `x_j`, in ascending `j`, it walks
+    /// [`column_nonzeros`](Self::column_nonzeros) and adds `q · x_j` to each
+    /// output it reaches — the PE dataflow of Fig. 5, zero inputs skipped.
     ///
-    /// Retained as the wall-clock baseline the cached kernel is measured and
-    /// bit-compared against (`wall_sweep` / `tests/wall.rs`); production call
-    /// sites go through `CompressedLinear::matvec_into`, which uses the cache.
+    /// This is the test oracle the production kernel
+    /// (`CompressedLinear::matvec_scratch`) is bit-compared against
+    /// (`tests/wall.rs`, `wall_sweep`): every output sums its block columns in
+    /// the same ascending order.
     ///
     /// # Panics
     ///
@@ -511,6 +500,135 @@ impl BlockPermDiagMatrix {
                 y[i] += self.values[value_idx] * xj;
             }
         }
+    }
+
+    /// The index-free "rotated-window" kernel: `y = W·x` from `perms` and
+    /// `values` alone, with its input buffer drawn from `scratch`.
+    ///
+    /// Block `(br, bc)` contributes `q[l·p + c] · x[bc·p + (c + k_l) mod p]` to
+    /// row `c` of block row `br`. The `p` rotations of each block column's
+    /// inputs are laid out once per call as length-`p` windows of the doubled
+    /// block `[x_bc, x_bc]` ([`PdWindows`]), so each block is one contiguous
+    /// length-`p` multiply-add and no `(c + k_l) mod p` is computed at all. For
+    /// `p ∈ {2, 4, 8, 16}` the width is a const parameter and the accumulators
+    /// stay in registers; other block sizes run the same loop at run-time width.
+    ///
+    /// Each output starts at `+0.0` and adds its block columns in ascending
+    /// order, exactly as [`matvec_reference`](Self::matvec_reference) does, so
+    /// the two are bit-identical for finite weights. Zero inputs are not
+    /// skipped, which changes no bit: an accumulator that starts at `+0.0` is
+    /// never `-0.0`, and adding `q · (±0)` leaves it as it is. Columns past
+    /// `cols` read zero padding; rows past `rows` are not written.
+    ///
+    /// The caller checks `x.len() == cols` and `y.len() == rows`.
+    pub(crate) fn matvec_windows(&self, x: &[f32], y: &mut [f32], scratch: &mut Scratch) {
+        if self.block_cols == 0 {
+            y.fill(0.0);
+            return;
+        }
+        let p = self.p;
+        let PdWindows(windows) = scratch.slot::<PdWindows>();
+        windows.clear();
+        windows.resize(self.block_cols * 2 * p, 0.0);
+        for (w, xb) in windows.chunks_exact_mut(2 * p).zip(x.chunks(p)) {
+            w[..xb.len()].copy_from_slice(xb);
+            w[p..p + xb.len()].copy_from_slice(xb);
+        }
+        match p {
+            2 => self.fixed_width::<2>(windows, y),
+            4 => self.fixed_width::<4>(windows, y),
+            8 => self.fixed_width::<8>(windows, y),
+            16 => self.fixed_width::<16>(windows, y),
+            _ => self.any_width(windows, y),
+        }
+    }
+
+    /// The `[f32; P]`-accumulator path. Block rows run two at a time, which
+    /// gives the adder two independent accumulator chains; each output's own
+    /// sum order is untouched.
+    fn fixed_width<const P: usize>(&self, windows: &[f32], y: &mut [f32]) {
+        let q_rows = self.values.chunks_exact(self.block_cols * P);
+        let k_rows = self.perms.chunks_exact(self.block_cols);
+        let mut rows = q_rows.zip(k_rows).zip(y.chunks_mut(P));
+        while let Some(((qa, ka), ya)) = rows.next() {
+            let Some(((qb, kb), yb)) = rows.next() else {
+                let acc = window_row::<P>(qa, ka, windows);
+                ya.copy_from_slice(&acc[..ya.len()]);
+                break;
+            };
+            let (acc_a, acc_b) = window_row_pair::<P>([qa, qb], [ka, kb], windows);
+            ya.copy_from_slice(&acc_a);
+            yb.copy_from_slice(&acc_b[..yb.len()]);
+        }
+    }
+
+    /// Any other block size: the same loop at run-time width, accumulating
+    /// straight into the (at most `p`) output rows of each block row.
+    fn any_width(&self, windows: &[f32], y: &mut [f32]) {
+        y.fill(0.0);
+        let p = self.p;
+        let q_rows = self.values.chunks_exact(self.block_cols * p);
+        let k_rows = self.perms.chunks_exact(self.block_cols);
+        for ((q_row, k_row), y_rows) in q_rows.zip(k_rows).zip(y.chunks_mut(p)) {
+            for ((q, &k), w) in q_row
+                .chunks_exact(p)
+                .zip(k_row)
+                .zip(windows.chunks_exact(2 * p))
+            {
+                let k = usize::from(k);
+                for (acc, (&v, &xv)) in y_rows.iter_mut().zip(q.iter().zip(&w[k..k + p])) {
+                    *acc += v * xv;
+                }
+            }
+        }
+    }
+}
+
+/// One block row of the fixed-width path: `q_row` and `k_row` are its stored
+/// values and permutation parameters, `windows` the doubled input blocks.
+#[inline(always)]
+fn window_row<const P: usize>(q_row: &[f32], k_row: &[u16], windows: &[f32]) -> [f32; P] {
+    let mut acc = [0.0f32; P];
+    for ((q, &k), w) in q_row
+        .chunks_exact(P)
+        .zip(k_row)
+        .zip(windows.chunks_exact(2 * P))
+    {
+        window_mac(&mut acc, q, k, w);
+    }
+    acc
+}
+
+/// Two block rows of the fixed-width path, interleaved block by block.
+#[inline(always)]
+fn window_row_pair<const P: usize>(
+    q_rows: [&[f32]; 2],
+    k_rows: [&[u16]; 2],
+    windows: &[f32],
+) -> ([f32; P], [f32; P]) {
+    let (mut acc_a, mut acc_b) = ([0.0f32; P], [0.0f32; P]);
+    let a = q_rows[0].chunks_exact(P).zip(k_rows[0]);
+    let b = q_rows[1].chunks_exact(P).zip(k_rows[1]);
+    for (((qa, &ka), (qb, &kb)), w) in a.zip(b).zip(windows.chunks_exact(2 * P)) {
+        window_mac(&mut acc_a, qa, ka, w);
+        window_mac(&mut acc_b, qb, kb, w);
+    }
+    (acc_a, acc_b)
+}
+
+/// `acc[c] += q[c] · w[k + c]` for `c in 0..P`: one block's contribution,
+/// read from its block column's doubled inputs `w` (length `2P`).
+#[inline(always)]
+fn window_mac<const P: usize>(acc: &mut [f32; P], q: &[f32], k: u16, w: &[f32]) {
+    let q: &[f32; P] = q.try_into().expect("P values per block");
+    // k < P already; masking with P - 1 (P is a power of two) lets the
+    // compiler see that the window is in bounds.
+    let k = usize::from(k) & (P - 1);
+    let win: &[f32; P] = w[k..k + P]
+        .try_into()
+        .expect("window inside the doubled block");
+    for c in 0..P {
+        acc[c] += q[c] * win[c];
     }
 }
 
@@ -545,6 +663,33 @@ mod tests {
     }
 
     #[test]
+    fn block_size_is_bounded_by_the_u16_permutation_width() {
+        let max = BlockPermDiagMatrix::MAX_BLOCK_SIZE;
+        assert_eq!(max, 65536);
+        assert_eq!(
+            BlockPermDiagMatrix::new(1, 1, max + 1, vec![0], vec![0.0; max + 1]),
+            Err(PdError::BlockSizeTooLarge { p: max + 1, max })
+        );
+        let w = BlockPermDiagMatrix::new(1, 1, max, vec![max - 1], vec![0.0; max]).unwrap();
+        assert_eq!(w.perms(), &[u16::MAX]);
+    }
+
+    #[test]
+    fn decoded_operator_is_about_its_snapshot_record() {
+        // Nothing beyond q and k_l is held: at 512² the decoded values and
+        // perms stay within 1.15x the snapshot record's bytes.
+        for p in [2, 4, 8] {
+            let w = sample(512, 512, p);
+            let decoded = std::mem::size_of_val(w.values()) + std::mem::size_of_val(w.perms());
+            let record = crate::snapshot::save_tensor(&w).unwrap().len();
+            assert!(
+                decoded as f64 <= 1.15 * record as f64,
+                "p={p}: {decoded} B decoded for a {record} B record"
+            );
+        }
+    }
+
+    #[test]
     fn natural_indexing_assigns_l_mod_p() {
         let w = BlockPermDiagMatrix::zeros(8, 16, 4, PermutationIndexing::Natural).unwrap();
         // 2 block rows x 4 block cols = 8 blocks; k_l = l mod 4.
@@ -574,14 +719,19 @@ mod tests {
     fn dense_roundtrip_exact() {
         let w = sample(12, 20, 4);
         let dense = w.to_dense();
-        let back = BlockPermDiagMatrix::from_dense_exact(&dense, 4, w.perms().to_vec()).unwrap();
+        let perms = w.perms().iter().map(|&k| usize::from(k)).collect();
+        let back = BlockPermDiagMatrix::from_dense_exact(&dense, 4, perms).unwrap();
         assert_eq!(back.to_dense(), dense);
     }
 
     #[test]
     fn from_dense_exact_rejects_off_diagonal() {
         let mut dense = sample(8, 8, 4).to_dense();
-        let perms = sample(8, 8, 4).perms().to_vec();
+        let perms = sample(8, 8, 4)
+            .perms()
+            .iter()
+            .map(|&k| usize::from(k))
+            .collect();
         // Find a structurally-zero position and poke a value there.
         let w = sample(8, 8, 4);
         'outer: for i in 0..8 {

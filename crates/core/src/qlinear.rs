@@ -59,7 +59,7 @@ use std::sync::Arc;
 use pd_tensor::fixed::{choose_frac_bits, dequantize_raw, quantize_to_raw, Accumulator24};
 use pd_tensor::Matrix;
 
-use crate::format::{check_dim, CompressedLinear, FormatError};
+use crate::format::{batch_len, check_dim, CompressedLinear, FormatError};
 
 /// The per-layer Q-formats of a quantized layer: fractional widths (1..=14) of
 /// the input activations, the stored weights and the output activations.
@@ -881,13 +881,14 @@ impl QuantizedLinear {
     /// # Errors
     ///
     /// Returns [`FormatError::DimensionMismatch`] if
-    /// `xs_raw.len() != batch * in_dim()`.
+    /// `xs_raw.len() != batch * in_dim()`, and [`FormatError::LengthOverflow`]
+    /// if `batch * in_dim()` or `batch * out_dim()` overflows.
     pub fn matmul_q(
         &self,
         xs_raw: &[i16],
         batch: usize,
     ) -> Result<(Vec<i16>, QKernelStats), FormatError> {
-        let mut out = vec![0i16; batch * self.rows];
+        let mut out = vec![0i16; batch_len("matmul_q", batch, self.rows)?];
         let stats = self.matmul_q_into(xs_raw, batch, &mut out, &mut QScratch::default())?;
         Ok((out, stats))
     }
@@ -901,7 +902,8 @@ impl QuantizedLinear {
     ///
     /// Returns [`FormatError::DimensionMismatch`] unless
     /// `xs_raw.len() == batch * in_dim()` and
-    /// `out.len() == batch * out_dim()`.
+    /// `out.len() == batch * out_dim()`, and [`FormatError::LengthOverflow`]
+    /// if either product overflows.
     pub fn matmul_q_into(
         &self,
         xs_raw: &[i16],
@@ -909,8 +911,16 @@ impl QuantizedLinear {
         out: &mut [i16],
         scratch: &mut QScratch,
     ) -> Result<QKernelStats, FormatError> {
-        check_dim("matmul_q", batch * self.cols, xs_raw.len())?;
-        check_dim("matmul_q", batch * self.rows, out.len())?;
+        check_dim(
+            "matmul_q",
+            batch_len("matmul_q", batch, self.cols)?,
+            xs_raw.len(),
+        )?;
+        check_dim(
+            "matmul_q",
+            batch_len("matmul_q", batch, self.rows)?,
+            out.len(),
+        )?;
         let mut stats = QKernelStats::default();
         for i in 0..batch {
             let row_stats = self.matvec_q_scratch(

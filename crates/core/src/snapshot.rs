@@ -998,7 +998,10 @@ pub fn shard_tensor_snapshot(bytes: &[u8], shards: usize) -> Result<Vec<u8>, Sna
                         range.len(),
                         cols,
                         p,
-                        m.perms()[br0 * block_cols..br1 * block_cols].to_vec(),
+                        m.perms()[br0 * block_cols..br1 * block_cols]
+                            .iter()
+                            .map(|&k| usize::from(k))
+                            .collect(),
                         m.values()[br0 * block_cols * p..br1 * block_cols * p].to_vec(),
                     )
                     .expect("block-row slices preserve every PD invariant");
@@ -1624,7 +1627,7 @@ pub(crate) fn write_permuted_diagonal(m: &BlockPermDiagMatrix, w: &mut ByteWrite
     w.dim(m.cols());
     w.dim(m.p());
     for &k in m.perms() {
-        w.u16(k as u16);
+        w.u16(k);
     }
     w.f32_slice(m.values());
 }
@@ -1633,8 +1636,10 @@ pub(crate) fn write_permuted_diagonal(m: &BlockPermDiagMatrix, w: &mut ByteWrite
 /// parameters (`k < p ≤ 65536`). Block sizes are compression ratios — single
 /// to double digits in practice — so this never bites outside fuzzers;
 /// writers return `None` (no codec) for larger `p` rather than corrupting.
+/// [`BlockPermDiagMatrix::new`] already rejects such block sizes, so only the
+/// lowered convolution (`PdConvMatrix`) still needs the check.
 pub fn pd_perms_encodable(p: usize) -> bool {
-    p <= (u16::MAX as usize) + 1
+    p <= BlockPermDiagMatrix::MAX_BLOCK_SIZE
 }
 
 fn decode_permuted_diagonal(

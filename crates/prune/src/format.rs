@@ -6,7 +6,7 @@
 //! encoded form additionally pays for padding entries, exactly as the hardware
 //! does (Section II-B of the PermDNN paper).
 
-use permdnn_core::format::{check_dim, CompressedLinear, FormatError};
+use permdnn_core::format::{batch_len, check_dim, CompressedLinear, FormatError};
 use permdnn_core::qlinear::QuantKernel;
 
 use crate::csc::CscMatrix;
@@ -68,7 +68,11 @@ impl CompressedLinear for CscMatrix {
         let _ = scratch;
         check_dim("matmul_into", self.cols(), xs.dim())?;
         let m = self.rows();
-        check_dim("matmul_into", xs.batch() * m, out.len())?;
+        check_dim(
+            "matmul_into",
+            batch_len("matmul_into", xs.batch(), m)?,
+            out.len(),
+        )?;
         if m == 0 || xs.batch() == 0 {
             return Ok(());
         }

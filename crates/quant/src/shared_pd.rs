@@ -8,7 +8,7 @@
 //! the same polymorphic surface as every other weight format.
 
 use permdnn_core::format::{CompressedLinear, FormatError};
-use permdnn_core::BlockPermDiagMatrix;
+use permdnn_core::{BlockPermDiagMatrix, Scratch};
 use rand::Rng;
 
 use crate::weight_sharing::{kmeans_codebook, SharedWeightTable};
@@ -17,7 +17,7 @@ use crate::weight_sharing::{kmeans_codebook, SharedWeightTable};
 /// `2^tag_bits`-entry shared codebook.
 ///
 /// The dequantized matrix (every stored weight replaced by its centroid) is
-/// kept materialised so the zero-skipping kernel runs at full speed; the
+/// kept materialised so the PD kernel runs at full speed; the
 /// [`SharedWeightTable`] records the tags and codebook for storage accounting.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SharedWeightPdMatrix {
@@ -157,9 +157,19 @@ impl CompressedLinear for SharedWeightPdMatrix {
     }
 
     fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), FormatError> {
-        // Same zero-skipping kernel as the unquantized PD format: the LUT decode
-        // is free in the software model (values are pre-dequantized).
-        self.matrix.matvec_into(x, y)
+        self.matvec_scratch(x, y, &mut Scratch::new())
+    }
+
+    /// Same rotated-window kernel as the unquantized PD format, on the
+    /// caller's scratch: the LUT decode is free in the software model (values
+    /// are pre-dequantized).
+    fn matvec_scratch(
+        &self,
+        x: &[f32],
+        y: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), FormatError> {
+        self.matrix.matvec_scratch(x, y, scratch)
     }
 
     fn max_weight_abs(&self) -> f32 {
@@ -181,14 +191,11 @@ impl CompressedLinear for SharedWeightPdMatrix {
     /// representation itself. The centroid-valued matrix is *derived* on
     /// load, so only `tag_bits` per weight travel, never the f32 values.
     fn write_snapshot(&self, out: &mut permdnn_core::snapshot::ByteWriter) -> Option<u16> {
-        if !permdnn_core::snapshot::pd_perms_encodable(self.matrix.p()) {
-            return None;
-        }
         out.dim(self.matrix.rows());
         out.dim(self.matrix.cols());
         out.dim(self.matrix.p());
         for &k in self.matrix.perms() {
-            out.u16(k as u16);
+            out.u16(k);
         }
         out.u8(self.table.tag_bits as u8);
         out.u16(self.table.codebook.len() as u16);

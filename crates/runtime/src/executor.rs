@@ -14,7 +14,9 @@ use std::sync::mpsc::channel;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use pd_tensor::Matrix;
-use permdnn_core::format::{check_dim, par_row_ranges, BatchView, CompressedLinear, FormatError};
+use permdnn_core::format::{
+    batch_len, check_dim, par_row_ranges, BatchView, CompressedLinear, FormatError,
+};
 use permdnn_core::qlinear::{QKernelStats, QScratch, QuantizedLinear};
 use permdnn_core::Scratch;
 
@@ -181,8 +183,9 @@ impl ParallelExecutor {
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::DimensionMismatch`] if `xs.dim() != op.in_dim()`;
-    /// any shard error propagates unchanged.
+    /// Returns [`FormatError::DimensionMismatch`] if `xs.dim() != op.in_dim()`,
+    /// and [`FormatError::LengthOverflow`] if `xs.batch() * op.out_dim()`
+    /// overflows; any shard error propagates unchanged.
     pub fn matmul_into(
         &self,
         op: &Arc<dyn CompressedLinear>,
@@ -192,6 +195,7 @@ impl ParallelExecutor {
         check_dim("matmul", op.in_dim(), xs.dim())?;
         let batch = xs.batch();
         let out_dim = op.out_dim();
+        batch_len("matmul", batch, out_dim)?;
         out.resize(batch, out_dim);
         if batch == 0 {
             return Ok(());
@@ -291,7 +295,9 @@ impl ParallelExecutor {
     /// # Errors
     ///
     /// Returns [`FormatError::DimensionMismatch`] if
-    /// `xs_raw.len() != batch * op.in_dim()`.
+    /// `xs_raw.len() != batch * op.in_dim()`, and
+    /// [`FormatError::LengthOverflow`] if that product or
+    /// `batch * op.out_dim()` overflows.
     pub fn matmul_q(
         &self,
         op: &Arc<QuantizedLinear>,
@@ -300,12 +306,17 @@ impl ParallelExecutor {
     ) -> Result<(Vec<i16>, QKernelStats), FormatError> {
         let in_dim = op.in_dim();
         let out_dim = op.out_dim();
-        check_dim("matmul_q", batch * in_dim, xs_raw.len())?;
+        check_dim(
+            "matmul_q",
+            batch_len("matmul_q", batch, in_dim)?,
+            xs_raw.len(),
+        )?;
+        let out_len = batch_len("matmul_q", batch, out_dim)?;
         if batch == 0 {
             return Ok((Vec::new(), QKernelStats::default()));
         }
         let ranges = par_row_ranges(batch, self.workers());
-        let mut out = vec![0i16; batch * out_dim];
+        let mut out = vec![0i16; out_len];
         if ranges.len() == 1 {
             let mut arena = lock_arena(&self.arenas[0]);
             let stats =

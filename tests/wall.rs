@@ -1,18 +1,22 @@
 //! Bit-identity suite for the wall-clock kernel pass.
 //!
-//! The optimisation pass (precomputed FFT plans + cached weight spectra,
-//! scratch arenas through the matvec/matmul hot path, cache-blocked batched
-//! kernels, the unrolled i16 column-sparse inner loop) is a reordering of
-//! memory traffic only — every float and every integer operation happens in
-//! the same order as before. This suite pins that down:
+//! The optimisation passes (precomputed FFT plans + cached weight spectra,
+//! scratch arenas through the matvec/matmul hot path, the index-free
+//! rotated-window PD kernel, dense's across-batch kernel, the unrolled i16
+//! column-sparse inner loop) change where values live and in what order
+//! memory is read — never the order in which any output sums its terms. This
+//! suite pins that down:
 //!
 //! 1. `FftPlan` transforms are bitwise identical to the freestanding
 //!    `fft_in_place` / `ifft_in_place` / `fft_real` they replace.
 //! 2. The cached-spectra circulant matvec equals the retained per-call FFT
 //!    path exactly, including ragged (non-multiple-of-`k`) shapes, across
 //!    repeated calls on one reused scratch.
-//! 3. The streamed PD column kernel and the cache-blocked batched kernels
-//!    equal the reference traversal exactly.
+//! 3. The index-free PD kernel equals the reference traversal
+//!    (`matvec_reference`, the test oracle) exactly: every block-size path,
+//!    ragged shapes, random permutations, zero and `-0.0` inputs, through
+//!    `matvec_into`, a reused scratch, the batched path and the executor.
+//!    Shared-PD and dense batches equal their own per-row matvecs.
 //! 4. The unrolled flat-accumulator i16 kernel equals the boxed-accumulator
 //!    reference exactly — outputs *and* datapath counters.
 //! 5. The arena-backed executor stays bit-identical to sequential execution
@@ -21,22 +25,27 @@
 //! 6. The serving loops (`serve`, `ModelRegistry::serve_traffic`), which now
 //!    reuse one output matrix across batches and models, still produce the
 //!    exact per-request outputs of the sequential operator.
+//! 7. Every batched shape check rejects a `batch · dim` that overflows
+//!    `usize` with a typed error.
 
 use std::sync::Arc;
 
 use permdnn::circulant::fft::{fft_in_place, fft_real, ifft_in_place};
 use permdnn::circulant::{BlockCirculantMatrix, CirculantScratch, Complex, FftPlan};
-use permdnn::core::format::{BatchView, CompressedLinear};
+use permdnn::core::format::{BatchView, CompressedLinear, FormatError};
 use permdnn::core::qlinear::{QKernelStats, QScheme, QScratch, QuantizedLinear};
 use permdnn::core::snapshot::{load_tensor, save_tensor, SnapshotCodec};
-use permdnn::core::{BlockPermDiagMatrix, Scratch};
+use permdnn::core::{BlockPermDiagMatrix, PermutationIndexing, Scratch};
 use permdnn::nn::layers::WeightFormat;
+use permdnn::prune::CscMatrix;
+use permdnn::quant::SharedWeightPdMatrix;
 use permdnn::runtime::{
     seeded_request_stream, serve, AdmissionPolicy, BatchConfig, BatchModel, ModelLoader,
     ModelRegistry, ParallelExecutor, ServeConfig, ServiceModel, SingleLayerModel, SloTarget,
     TrafficConfig, UniformProcess,
 };
 use permdnn::tensor::init::{seeded_rng, xavier_uniform};
+use permdnn::tensor::Matrix;
 use proptest::prelude::*;
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 3, 7];
@@ -136,6 +145,71 @@ proptest! {
         }
     }
 
+    // 3b. The index-free PD kernel on every path it has: fixed widths
+    // p = 2, 4, 8, 16 and the run-time width (p = 1, 3, 5), ragged shapes,
+    // random permutations, inputs holding exact zeros and -0.0, and batches
+    // that cross dense's 16-row chunk. One arena is reused for every call.
+    #[test]
+    fn prop_index_free_kernels_match_reference_on_every_path(
+        (rows, cols, batch, seed) in (1usize..=40, 1usize..=40, 1usize..=40, 0u64..500)
+    ) {
+        let xs_mat = signed_zero_inputs(batch, cols, seed);
+        let xs = BatchView::from_matrix(&xs_mat);
+        let mut arena = Scratch::new();
+        let mut y = vec![0.0f32; rows];
+        let mut y_ref = vec![0.0f32; rows];
+        let mut out = vec![f32::NAN; batch * rows];
+        for p in [1usize, 2, 3, 4, 5, 8, 16] {
+            let w = BlockPermDiagMatrix::random_with_indexing(
+                rows,
+                cols,
+                p,
+                PermutationIndexing::Random,
+                &mut seeded_rng(seed ^ p as u64),
+            );
+            let reference: Vec<Vec<f32>> = (0..batch)
+                .map(|i| {
+                    w.matvec_reference(xs.row(i), &mut y_ref);
+                    y_ref.clone()
+                })
+                .collect();
+            for (i, want) in reference.iter().enumerate() {
+                w.matvec_into(xs.row(i), &mut y).unwrap();
+                prop_assert_eq!(&y, want, "p={} matvec_into row {}", p, i);
+                y.fill(f32::NAN);
+                w.matvec_scratch(xs.row(i), &mut y, &mut arena).unwrap();
+                prop_assert_eq!(&y, want, "p={} matvec_scratch row {}", p, i);
+            }
+            out.fill(f32::NAN);
+            w.matmul_into(&xs, &mut out, &mut arena).unwrap();
+            for (i, got) in out.chunks(rows).enumerate() {
+                prop_assert_eq!(got, &reference[i][..], "p={} matmul_into row {}", p, i);
+            }
+            let op: Arc<dyn CompressedLinear> = Arc::new(w.clone());
+            for workers in [1usize, 2, 3] {
+                let mut got = Matrix::zeros(0, 0);
+                ParallelExecutor::new(workers).matmul_into(&op, &xs, &mut got).unwrap();
+                for (i, want) in reference.iter().enumerate() {
+                    prop_assert_eq!(got.row(i), &want[..], "p={} workers={} row {}", p, workers, i);
+                }
+            }
+            let shared = SharedWeightPdMatrix::quantize_4bit(&w, &mut seeded_rng(seed));
+            out.fill(f32::NAN);
+            shared.matmul_into(&xs, &mut out, &mut arena).unwrap();
+            for (i, got) in out.chunks(rows).enumerate() {
+                shared.matvec_into(xs.row(i), &mut y).unwrap();
+                prop_assert_eq!(got, &y[..], "p={} shared-PD row {}", p, i);
+            }
+        }
+        let dense = xavier_uniform(&mut seeded_rng(seed ^ 0xd), rows, cols);
+        out.fill(f32::NAN);
+        dense.matmul_into(&xs, &mut out, &mut arena).unwrap();
+        for (i, got) in out.chunks(rows).enumerate() {
+            CompressedLinear::matvec_into(&dense, xs.row(i), &mut y).unwrap();
+            prop_assert_eq!(got, &y[..], "dense row {}", i);
+        }
+    }
+
     // 4. Unrolled i16 column-sparse kernel vs the boxed-accumulator
     // reference: outputs and datapath counters, with one QScratch reused.
     #[test]
@@ -161,6 +235,42 @@ proptest! {
             let stats_ref = q.matvec_q_reference(&x_raw, &mut y_ref).unwrap();
             prop_assert_eq!(&y, &y_ref, "outputs row {}", i);
             prop_assert_eq!(stats, stats_ref, "counters row {}", i);
+        }
+    }
+}
+
+/// A `batch × dim` input whose entries include exact `0.0` and `-0.0`, the
+/// values a kernel that skips (or no longer skips) zero inputs must not
+/// treat differently.
+fn signed_zero_inputs(batch: usize, dim: usize, seed: u64) -> Matrix {
+    let mut m = xavier_uniform(&mut seeded_rng(seed ^ 0x5e70), batch, dim);
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        match (i as u64 + seed) % 5 {
+            0 => *v = 0.0,
+            1 => *v = -0.0,
+            _ => {}
+        }
+    }
+    m
+}
+
+// 3c. Dense's across-batch kernel against its per-row dot product at every
+// batch size through two 16-row chunks plus each smaller chunk width, with
+// one reused arena.
+#[test]
+fn dense_batched_kernel_matches_rows_at_every_batch_size() {
+    let (rows, cols) = (13, 29);
+    let dense = xavier_uniform(&mut seeded_rng(0xde), rows, cols);
+    let mut arena = Scratch::new();
+    let mut y = vec![0.0f32; rows];
+    for batch in 0..=40 {
+        let xs_mat = signed_zero_inputs(batch, cols, batch as u64);
+        let xs = BatchView::from_matrix(&xs_mat);
+        let mut out = vec![f32::NAN; batch * rows];
+        dense.matmul_into(&xs, &mut out, &mut arena).unwrap();
+        for (i, got) in out.chunks(rows).enumerate() {
+            CompressedLinear::matvec_into(&dense, xs.row(i), &mut y).unwrap();
+            assert_eq!(got, &y[..], "batch {batch} row {i}");
         }
     }
 }
@@ -443,4 +553,66 @@ fn executor_integer_stats_are_exact_on_tiny_batches() {
         QKernelStats::default(),
         "the kernel did real work"
     );
+}
+
+// 7. A batch whose flat length `batch · dim` does not fit a `usize` is a
+// typed error at every batched entry point — not an overflow panic (debug
+// builds) or a wrapped length that passes the check (release builds).
+#[test]
+fn batched_shape_checks_reject_length_overflow() {
+    let huge = 1usize << 63;
+    assert_eq!(
+        BatchView::new(&[], huge, 2).unwrap_err(),
+        FormatError::LengthOverflow {
+            op: "BatchView::new",
+            batch: huge,
+            dim: 2
+        }
+    );
+    let overflow =
+        |r: Result<(), FormatError>| matches!(r, Err(FormatError::LengthOverflow { .. }));
+
+    // A zero-width batch is valid at any size; `batch · out_dim` is not.
+    let xs = BatchView::new(&[], huge, 0).unwrap();
+    let ops: [Arc<dyn CompressedLinear>; 3] = [
+        Arc::new(Matrix::zeros(4, 0)),
+        Arc::new(BlockPermDiagMatrix::zeros(4, 0, 2, PermutationIndexing::Natural).unwrap()),
+        Arc::new(CscMatrix::from_dense(&Matrix::zeros(4, 0))),
+    ];
+    for op in &ops {
+        let label = op.label();
+        assert!(
+            overflow(op.matmul_into(&xs, &mut [], &mut Scratch::new())),
+            "{label} matmul_into"
+        );
+        assert!(overflow(op.matmul(&xs).map(|_| ())), "{label} matmul");
+        for workers in [1, 2] {
+            let exec = ParallelExecutor::new(workers);
+            let mut out = Matrix::zeros(0, 0);
+            assert!(
+                overflow(exec.matmul_into(op, &xs, &mut out)),
+                "{label} on {workers} workers"
+            );
+        }
+    }
+
+    let q = Arc::new(QuantizedLinear::from_op(
+        Arc::new(Matrix::zeros(4, 2)),
+        QScheme::q3_12(),
+    ));
+    assert!(overflow(q.matmul_q(&[], huge).map(|_| ())), "matmul_q");
+    assert!(
+        overflow(
+            q.matmul_q_into(&[], huge, &mut [], &mut QScratch::default())
+                .map(|_| ())
+        ),
+        "matmul_q_into"
+    );
+    for workers in [1, 2] {
+        let exec = ParallelExecutor::new(workers);
+        assert!(
+            overflow(exec.matmul_q(&q, &[], huge).map(|_| ())),
+            "executor matmul_q"
+        );
+    }
 }
