@@ -874,9 +874,7 @@ impl QuantizedLinear {
 
     /// Batched integer product: `batch` row-major raw input vectors in,
     /// `batch × out_dim` raw outputs plus merged counters out. Row `i` of the
-    /// output is exactly `matvec_q` of row `i` of the input, which is what
-    /// makes batch-row sharding across the runtime's workers bit-for-bit
-    /// equal to sequential execution.
+    /// output is exactly `matvec_q` of row `i` of the input.
     ///
     /// # Errors
     ///
@@ -894,9 +892,10 @@ impl QuantizedLinear {
     }
 
     /// Batched integer product into a caller-provided output buffer with
-    /// caller-owned scratch — the allocation-free path the runtime's worker
-    /// shards drive. Row `i` of the output is exactly
-    /// [`matvec_q`](Self::matvec_q) of input row `i`.
+    /// caller-owned scratch. Row `i` of the output is exactly
+    /// [`matvec_q`](Self::matvec_q) of input row `i`. The runtime's workers
+    /// drive the f32 [`CompressedLinear`] surface instead, which runs the
+    /// same integer datapath per row.
     ///
     /// # Errors
     ///

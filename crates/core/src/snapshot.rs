@@ -81,13 +81,9 @@ pub const KIND_MLP: u16 = 1;
 pub const KIND_CONV: u16 = 2;
 /// Model kind: a frozen sequence-to-sequence model.
 pub const KIND_SEQ2SEQ: u16 = 3;
-/// Model kind: a row-sharded bare tensor — a `"shard_index"` section (row
-/// geometry + per-shard row ranges) followed by one `"shard.k"` section per
-/// shard, each holding a complete tensor record for that contiguous row
-/// slice. Written by [`shard_tensor_snapshot`]; host `k` extracts and decodes
-/// only its own slice through [`extract_shard`], Kun-peng ordered-shard-file
-/// style.
-pub const KIND_SHARDED_TENSOR: u16 = 4;
+// Kind 4 is retired: it was a row-sharded tensor container, replaced by the
+// per-host tensor snapshots `split_tensor_rows` returns. Kinds are
+// append-only like format codes, so 4 is never reused; every loader rejects it.
 /// Model kind: a block-streamed container — a `"block_index"` section (the
 /// wrapped model kind plus the name/format/offset/length of every weight
 /// tensor record) followed by the original model's sections, where each
@@ -656,73 +652,11 @@ impl Snapshot {
     /// shape produces a typed [`SnapshotError`]; nothing panics, and declared
     /// lengths are checked against the available bytes before allocation.
     pub fn parse(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let mut r = ByteReader::new(bytes);
-        let magic = r.take(MAGIC.len(), "magic").map_err(|_| {
-            let mut got = [0u8; 8];
-            got[..bytes.len().min(8)].copy_from_slice(&bytes[..bytes.len().min(8)]);
-            SnapshotError::BadMagic { got }
-        })?;
-        if magic != MAGIC {
-            let mut got = [0u8; 8];
-            got.copy_from_slice(magic);
-            return Err(SnapshotError::BadMagic { got });
-        }
-        let version = r.u16("header version")?;
-        if version != VERSION {
-            return Err(SnapshotError::UnsupportedVersion {
-                got: version,
-                supported: VERSION,
-            });
-        }
-        let kind = r.u16("header kind")?;
-        let count = r.u32("header section count")? as usize;
-        // Each section needs at least name-len + payload-len + crc = 14 bytes;
-        // reject impossible counts before reserving anything.
-        if count > r.remaining() / 14 {
-            return Err(SnapshotError::Truncated {
-                context: "section table",
-                needed: (count as u64) * 14,
-                got: r.remaining() as u64,
-            });
-        }
-        let mut sections = Vec::with_capacity(count);
-        for _ in 0..count {
-            let name_len = r.u16("section name length")? as usize;
-            if name_len == 0 || name_len > MAX_NAME_LEN {
-                return Err(SnapshotError::Malformed {
-                    context: "section name length",
-                    reason: format!("length {name_len} outside 1..=255"),
-                });
-            }
-            let name_bytes = r.take(name_len, "section name")?;
-            let name =
-                String::from_utf8(name_bytes.to_vec()).map_err(|_| SnapshotError::Malformed {
-                    context: "section name",
-                    reason: "not valid UTF-8".to_string(),
-                })?;
-            let payload_len = r.u64("section payload length")?;
-            // The over-allocation guard: the declared length must fit in the
-            // bytes that are actually present (leaving room for the CRC).
-            if payload_len.saturating_add(4) > r.remaining() as u64 {
-                return Err(SnapshotError::Truncated {
-                    context: "section payload",
-                    needed: payload_len.saturating_add(4),
-                    got: r.remaining() as u64,
-                });
-            }
-            let payload = r.take(payload_len as usize, "section payload")?.to_vec();
-            let stored = r.u32("section checksum")?;
-            let computed = crc32(&payload);
-            if stored != computed {
-                return Err(SnapshotError::ChecksumMismatch {
-                    section: name,
-                    stored,
-                    computed,
-                });
-            }
-            sections.push((name, payload));
-        }
-        r.expect_end("container")?;
+        let (kind, frames) = walk_frames(bytes, true)?;
+        let sections = frames
+            .into_iter()
+            .map(|f| (f.name, bytes[f.offset..f.offset + f.len].to_vec()))
+            .collect();
         Ok(Snapshot { kind, sections })
     }
 
@@ -886,54 +820,19 @@ fn decode_record(
 }
 
 // ---------------------------------------------------------------------------
-// Row-sharded tensor snapshots (tensor parallelism, Kun-peng shard files).
+// Row-split tensor snapshots (tensor parallelism).
 // ---------------------------------------------------------------------------
 
-/// The parsed `"shard_index"` section of a [`KIND_SHARDED_TENSOR`] snapshot:
-/// whole-tensor geometry plus the contiguous output-row range each shard owns.
-///
-/// On disk the section is `rows, cols, p, shard count (u32), then per shard
-/// (row_start, row_end)` — every scalar a [`ByteWriter::dim`]-bounded `u32`.
-/// The ranges are validated on read: contiguous, non-empty, starting at 0 and
-/// covering exactly `0..rows`, with interior boundaries on multiples of `p`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ShardIndex {
-    /// Output rows of the whole tensor.
-    pub rows: usize,
-    /// Input columns (every shard shares the full input width).
-    pub cols: usize,
-    /// Row granularity of the split: shard boundaries fall only on multiples
-    /// of `p` (the PD block size; 1 for dense), so no shard ever owns a
-    /// fractional block.
-    pub p: usize,
-    /// The contiguous row range of each shard, in shard order.
-    pub shard_rows: Vec<std::ops::Range<usize>>,
-}
-
-impl ShardIndex {
-    /// Number of shards.
-    pub fn shards(&self) -> usize {
-        self.shard_rows.len()
-    }
-}
-
-/// Name of the index section in a [`KIND_SHARDED_TENSOR`] container.
-pub const SHARD_INDEX_SECTION: &str = "shard_index";
-
-/// Name of shard `k`'s section.
-pub fn shard_section_name(k: usize) -> String {
-    format!("shard.{k}")
-}
-
-/// Splits a bare-tensor snapshot ([`KIND_TENSOR`]) into a
-/// [`KIND_SHARDED_TENSOR`] container of `shards` contiguous row slices, each
-/// stored as a complete, independently decodable tensor record. The split is
-/// block-row granular ([`crate::format::block_row_ranges`]): dense tensors
+/// Splits a bare-tensor snapshot ([`KIND_TENSOR`]) into `shards` contiguous
+/// row slices and returns each as a standalone tensor snapshot: element `k`
+/// is [`save_tensor`] of slice `k`, which [`load_tensor`] (and therefore any
+/// `ModelRegistry` loader) decodes without any other slice's bytes. The split
+/// is block-row granular ([`crate::format::block_row_ranges`]): dense tensors
 /// split at any row, permuted-diagonal tensors only at `p`-row block
 /// boundaries — a fractional block would break the one-nonzero-per-column-
 /// per-block invariant (the phantom-row MAC bug class).
 ///
-/// Concatenating the decoded shards row-wise reproduces the whole tensor
+/// Concatenating the decoded slices row-wise reproduces the whole tensor
 /// bit-for-bit (`tests/cluster.rs` locks this in), which is what makes
 /// row-sharded cluster serving bit-identical to single-host serving.
 ///
@@ -941,9 +840,9 @@ pub fn shard_section_name(k: usize) -> String {
 ///
 /// Returns a typed [`SnapshotError`] if the input is corrupt, is not a bare
 /// tensor, holds a format with no row-slicing support (only dense and
-/// permuted-diagonal tensors shard), or has fewer splittable block rows than
+/// permuted-diagonal tensors split), or has fewer splittable block rows than
 /// `shards`.
-pub fn shard_tensor_snapshot(bytes: &[u8], shards: usize) -> Result<Vec<u8>, SnapshotError> {
+pub fn split_tensor_rows(bytes: &[u8], shards: usize) -> Result<Vec<Vec<u8>>, SnapshotError> {
     if shards == 0 {
         return Err(SnapshotError::Malformed {
             context: "shard count",
@@ -958,16 +857,14 @@ pub fn shard_tensor_snapshot(bytes: &[u8], shards: usize) -> Result<Vec<u8>, Sna
         });
     }
     let mut r = ByteReader::new(snap.section("tensor")?);
-    let code = r.u16("tensor format code")?;
-    let (rows, cols, p, slices): (usize, usize, usize, Vec<Box<dyn CompressedLinear>>) = match code
-    {
+    match r.u16("tensor format code")? {
         FORMAT_DENSE => {
             let rows = r.dim("dense rows")?;
             let cols = r.dim("dense cols")?;
             let data = r.f32_vec(rows * cols, "dense values")?;
             r.expect_end("dense tensor")?;
             slice_check(rows, 1, shards)?;
-            let slices = crate::format::block_row_ranges(rows, 1, shards)
+            crate::format::block_row_ranges(rows, 1, shards)
                 .into_iter()
                 .map(|range| {
                     let m = Matrix::from_vec(
@@ -976,10 +873,9 @@ pub fn shard_tensor_snapshot(bytes: &[u8], shards: usize) -> Result<Vec<u8>, Sna
                         data[range.start * cols..range.end * cols].to_vec(),
                     )
                     .expect("slice length matches its shape");
-                    Box::new(m) as Box<dyn CompressedLinear>
+                    save_tensor(&m)
                 })
-                .collect();
-            (rows, cols, 1, slices)
+                .collect()
         }
         FORMAT_PERMUTED_DIAGONAL => {
             let m = read_pd_matrix(&mut r)?;
@@ -990,7 +886,7 @@ pub fn shard_tensor_snapshot(bytes: &[u8], shards: usize) -> Result<Vec<u8>, Sna
             // Perms and values are block-row major (block l = br·block_cols +
             // bc, value l·p + c), so a block-row slice is two contiguous
             // subslices — no per-entry reindexing.
-            let slices = crate::format::block_row_ranges(m.rows(), p, shards)
+            crate::format::block_row_ranges(m.rows(), p, shards)
                 .into_iter()
                 .map(|range| {
                     let (br0, br1) = (range.start / p, range.end.div_ceil(p));
@@ -1005,36 +901,14 @@ pub fn shard_tensor_snapshot(bytes: &[u8], shards: usize) -> Result<Vec<u8>, Sna
                         m.values()[br0 * block_cols * p..br1 * block_cols * p].to_vec(),
                     )
                     .expect("block-row slices preserve every PD invariant");
-                    Box::new(slice) as Box<dyn CompressedLinear>
+                    save_tensor(&slice)
                 })
-                .collect();
-            (m.rows(), cols, p, slices)
+                .collect()
         }
-        other => {
-            return Err(SnapshotError::UnsupportedOperator {
-                label: format!("row sharding of tensor format code {other}"),
-            })
-        }
-    };
-
-    let mut index = ByteWriter::new();
-    index.dim(rows);
-    index.dim(cols);
-    index.dim(p);
-    index.u32(slices.len() as u32);
-    let mut start = 0usize;
-    for s in &slices {
-        index.dim(start);
-        index.dim(start + s.out_dim());
-        start += s.out_dim();
+        other => Err(SnapshotError::UnsupportedOperator {
+            label: format!("row sharding of tensor format code {other}"),
+        }),
     }
-
-    let mut b = SnapshotBuilder::new(KIND_SHARDED_TENSOR);
-    b.section(SHARD_INDEX_SECTION, index.into_vec());
-    for (k, s) in slices.iter().enumerate() {
-        b.section(&shard_section_name(k), encode_tensor(s.as_ref())?);
-    }
-    Ok(b.finish())
 }
 
 /// Rejects splits finer than the tensor's block-row count.
@@ -1047,96 +921,6 @@ fn slice_check(rows: usize, p: usize, shards: usize) -> Result<(), SnapshotError
         });
     }
     Ok(())
-}
-
-/// Parses and validates the `"shard_index"` section of a
-/// [`KIND_SHARDED_TENSOR`] snapshot.
-///
-/// # Errors
-///
-/// Returns a typed [`SnapshotError`] for corruption, a non-sharded kind, or
-/// an index whose ranges do not tile `0..rows` contiguously on `p`-row
-/// boundaries with one `"shard.k"` section per range.
-pub fn read_shard_index(bytes: &[u8]) -> Result<ShardIndex, SnapshotError> {
-    let snap = Snapshot::parse(bytes)?;
-    if snap.kind() != KIND_SHARDED_TENSOR {
-        return Err(SnapshotError::Malformed {
-            context: "shard index",
-            reason: format!("kind {} is not a sharded tensor", snap.kind()),
-        });
-    }
-    let mut r = ByteReader::new(snap.section(SHARD_INDEX_SECTION)?);
-    let rows = r.dim("shard index rows")?;
-    let cols = r.dim("shard index cols")?;
-    let p = r.dim("shard index block size")?;
-    if p == 0 {
-        return Err(SnapshotError::Malformed {
-            context: "shard index block size",
-            reason: "p must be non-zero".to_string(),
-        });
-    }
-    let count = r.u32("shard index count")? as usize;
-    // Each range costs 8 bytes; reject impossible counts before allocating.
-    if count > r.remaining() / 8 {
-        return Err(SnapshotError::Truncated {
-            context: "shard index ranges",
-            needed: (count as u64) * 8,
-            got: r.remaining() as u64,
-        });
-    }
-    let mut shard_rows = Vec::with_capacity(count);
-    let mut next = 0usize;
-    for k in 0..count {
-        let start = r.dim("shard range start")?;
-        let end = r.dim("shard range end")?;
-        let interior = k + 1 < count;
-        if start != next || end <= start || (interior && end % p != 0) {
-            return Err(SnapshotError::Malformed {
-                context: "shard index ranges",
-                reason: format!("range {k} ({start}..{end}) does not tile 0..{rows} on p={p}"),
-            });
-        }
-        snap.section(&shard_section_name(k))?;
-        next = end;
-        shard_rows.push(start..end);
-    }
-    r.expect_end("shard index")?;
-    if next != rows {
-        return Err(SnapshotError::Malformed {
-            context: "shard index ranges",
-            reason: format!("ranges cover 0..{next}, tensor has {rows} rows"),
-        });
-    }
-    Ok(ShardIndex {
-        rows,
-        cols,
-        p,
-        shard_rows,
-    })
-}
-
-/// Extracts shard `k` of a [`KIND_SHARDED_TENSOR`] snapshot as a standalone
-/// [`KIND_TENSOR`] snapshot — directly loadable by [`load_tensor`] (and
-/// therefore by any `ModelRegistry` loader), without decoding any other
-/// shard's bytes. This is the per-host load path: host `k` holds only its own
-/// slice in memory.
-///
-/// # Errors
-///
-/// Returns a typed [`SnapshotError`] for corruption, a non-sharded kind, or
-/// a shard number the index does not list.
-pub fn extract_shard(bytes: &[u8], k: usize) -> Result<Vec<u8>, SnapshotError> {
-    let index = read_shard_index(bytes)?;
-    if k >= index.shards() {
-        return Err(SnapshotError::MissingSection {
-            name: shard_section_name(k),
-        });
-    }
-    let snap = Snapshot::parse(bytes)?;
-    let record = snap.section(&shard_section_name(k))?;
-    let mut b = SnapshotBuilder::new(KIND_TENSOR);
-    b.section("tensor", record.to_vec());
-    Ok(b.finish())
 }
 
 // ---------------------------------------------------------------------------
@@ -1212,19 +996,26 @@ impl BlockIndex {
 }
 
 /// One section frame located by [`walk_frames`]: its name plus the payload's
-/// position inside the file. The payload has *not* been read or CRC-checked.
+/// position inside the file.
 struct Frame {
     name: String,
     offset: usize,
     len: usize,
 }
 
-/// Walks a container's section frames without reading (or CRC-checking) any
-/// payload — O(section count) work, never O(file). This is what lets the
-/// block index stay readable, and individual blocks extractable, while some
-/// *other* block's payload is corrupt: only the bytes actually consumed are
-/// validated.
-fn walk_frames(bytes: &[u8], expect_kind: u16) -> Result<Vec<Frame>, SnapshotError> {
+/// Walks a container's header and section framing — the one framing parser
+/// every reader shares — and returns the header's model kind plus every
+/// frame in file order. Magic, version, counts, names, declared lengths and
+/// trailing bytes are all validated.
+///
+/// With `check_crcs` off no payload is read — O(section count) work, never
+/// O(file). This is what lets the block index stay readable, and individual
+/// blocks extractable, while some *other* block's payload is corrupt: only
+/// the bytes actually consumed are validated. [`Snapshot::parse`] turns it
+/// on, and each payload is then checked against its CRC as soon as it is
+/// framed, before the next frame is read: a damaged length field reports
+/// the checksum mismatch it causes, not the misframing that follows.
+fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame>), SnapshotError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(MAGIC.len(), "magic").map_err(|_| {
         let mut got = [0u8; 8];
@@ -1244,13 +1035,9 @@ fn walk_frames(bytes: &[u8], expect_kind: u16) -> Result<Vec<Frame>, SnapshotErr
         });
     }
     let kind = r.u16("header kind")?;
-    if kind != expect_kind {
-        return Err(SnapshotError::Malformed {
-            context: "blocked container",
-            reason: format!("kind {kind} is not a block-streamed snapshot"),
-        });
-    }
     let count = r.u32("header section count")? as usize;
+    // Each section needs at least name-len + payload-len + crc = 14 bytes;
+    // reject impossible counts before reserving anything.
     if count > r.remaining() / 14 {
         return Err(SnapshotError::Truncated {
             context: "section table",
@@ -1274,6 +1061,8 @@ fn walk_frames(bytes: &[u8], expect_kind: u16) -> Result<Vec<Frame>, SnapshotErr
                 reason: "not valid UTF-8".to_string(),
             })?;
         let payload_len = r.u64("section payload length")?;
+        // The over-allocation guard: the declared length must fit in the
+        // bytes that are actually present (leaving room for the CRC).
         if payload_len.saturating_add(4) > r.remaining() as u64 {
             return Err(SnapshotError::Truncated {
                 context: "section payload",
@@ -1284,13 +1073,30 @@ fn walk_frames(bytes: &[u8], expect_kind: u16) -> Result<Vec<Frame>, SnapshotErr
         let offset = bytes.len() - r.remaining();
         r.take(payload_len as usize, "section payload")?;
         r.take(4, "section checksum")?;
-        frames.push(Frame {
+        let frame = Frame {
             name,
             offset,
             len: payload_len as usize,
-        });
+        };
+        if check_crcs {
+            verify_frame_crc(bytes, &frame)?;
+        }
+        frames.push(frame);
     }
     r.expect_end("container")?;
+    Ok((kind, frames))
+}
+
+/// [`walk_frames`] for the block readers: no payload is read, and the
+/// container must be [`KIND_BLOCKED`].
+fn walk_blocked_frames(bytes: &[u8]) -> Result<Vec<Frame>, SnapshotError> {
+    let (kind, frames) = walk_frames(bytes, false)?;
+    if kind != KIND_BLOCKED {
+        return Err(SnapshotError::Malformed {
+            context: "blocked container",
+            reason: format!("kind {kind} is not a block-streamed snapshot"),
+        });
+    }
     Ok(frames)
 }
 
@@ -1348,18 +1154,6 @@ pub fn is_weight_block_section(name: &str) -> bool {
 /// blocked, has no weight sections, or holds a weight section too short to
 /// carry a format code.
 pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
-    block_stream_snapshot_with(bytes, &is_weight_block_section)
-}
-
-/// [`block_stream_snapshot`] with an explicit rule for which sections page.
-///
-/// # Errors
-///
-/// As [`block_stream_snapshot`].
-pub fn block_stream_snapshot_with(
-    bytes: &[u8],
-    is_block: &dyn Fn(&str) -> bool,
-) -> Result<Vec<u8>, SnapshotError> {
     let snap = Snapshot::parse(bytes)?;
     if snap.kind() == KIND_BLOCKED {
         return Err(SnapshotError::Malformed {
@@ -1370,7 +1164,7 @@ pub fn block_stream_snapshot_with(
     let sections = snap.sections();
     let block_names: Vec<&str> = sections
         .iter()
-        .filter(|(name, _)| is_block(name))
+        .filter(|(name, _)| is_weight_block_section(name))
         .map(|(name, _)| name.as_str())
         .collect();
     if block_names.is_empty() {
@@ -1396,7 +1190,7 @@ pub fn block_stream_snapshot_with(
     let mut entries: Vec<BlockEntry> = Vec::with_capacity(block_names.len());
     for (name, payload) in sections {
         offset += 2 + name.len() + 8;
-        if is_block(name) {
+        if is_weight_block_section(name) {
             let mut r = ByteReader::new(payload);
             let kind = r.u16("block tensor record")?;
             entries.push(BlockEntry {
@@ -1442,7 +1236,7 @@ pub fn block_stream_snapshot_with(
 /// Returns a typed [`SnapshotError`] for corruption anywhere in the header,
 /// framing or index.
 pub fn read_block_index(bytes: &[u8]) -> Result<BlockIndex, SnapshotError> {
-    let frames = walk_frames(bytes, KIND_BLOCKED)?;
+    let frames = walk_blocked_frames(bytes)?;
     let first = match frames.first() {
         Some(f) if f.name == BLOCK_INDEX_SECTION => f,
         _ => {
@@ -1534,10 +1328,9 @@ fn verified_block(bytes: &[u8], k: usize) -> Result<&[u8], SnapshotError> {
 
 /// Extracts block `k` of a [`KIND_BLOCKED`] container as a standalone
 /// [`KIND_TENSOR`] snapshot — directly decodable by [`load_tensor`] — after
-/// CRC-checking *only that block's* payload: the same re-framing trick as
-/// [`extract_shard`], for tooling that wants one layer as a file of its own.
-/// To decode a block, [`load_block`] does the same validation without the
-/// re-framing.
+/// CRC-checking *only that block's* payload, for tooling that wants one
+/// layer as a file of its own. To decode a block, [`load_block`] does the
+/// same validation without the re-framing.
 ///
 /// # Errors
 ///
@@ -1581,7 +1374,7 @@ pub fn load_block(
 /// the requested section, and [`SnapshotError::MissingSection`] if no section
 /// has that name.
 pub fn read_blocked_section(bytes: &[u8], name: &str) -> Result<Vec<u8>, SnapshotError> {
-    let frames = walk_frames(bytes, KIND_BLOCKED)?;
+    let frames = walk_blocked_frames(bytes)?;
     let frame =
         frames
             .iter()
@@ -1949,18 +1742,14 @@ mod tests {
     #[test]
     fn sharded_pd_tensor_concatenates_back_bit_exactly() {
         let m = BlockPermDiagMatrix::random(24, 16, 4, &mut seeded_rng(7));
-        let whole = save_tensor(&m).unwrap();
-        let sharded = shard_tensor_snapshot(&whole, 3).unwrap();
-        let index = read_shard_index(&sharded).unwrap();
-        assert_eq!((index.rows, index.cols, index.p), (24, 16, 4));
-        assert_eq!(index.shards(), 3);
+        let pieces = split_tensor_rows(&save_tensor(&m).unwrap(), 3).unwrap();
+        assert_eq!(pieces.len(), 3);
         let codec = SnapshotCodec::new();
         let mut dense_rows: Vec<f32> = Vec::new();
-        for (k, range) in index.shard_rows.iter().enumerate() {
-            let piece = extract_shard(&sharded, k).unwrap();
-            let op = load_tensor(&piece, &codec).unwrap();
+        for piece in &pieces {
+            let op = load_tensor(piece, &codec).unwrap();
             assert_eq!(op.label(), "permuted-diagonal (p=4)");
-            assert_eq!(op.out_dim(), range.len());
+            assert_eq!(op.out_dim(), 8);
             assert_eq!(op.in_dim(), 16);
             dense_rows.extend_from_slice(op.to_dense().as_slice());
         }
@@ -1970,18 +1759,47 @@ mod tests {
     #[test]
     fn sharded_dense_tensor_concatenates_back_bit_exactly() {
         let m = xavier_uniform(&mut seeded_rng(8), 10, 6);
-        let whole = save_tensor(&m).unwrap();
-        let sharded = shard_tensor_snapshot(&whole, 4).unwrap();
-        let index = read_shard_index(&sharded).unwrap();
-        assert_eq!((index.rows, index.cols, index.p), (10, 6, 1));
+        let pieces = split_tensor_rows(&save_tensor(&m).unwrap(), 4).unwrap();
+        assert_eq!(pieces.len(), 4);
         let codec = SnapshotCodec::new();
         let mut dense_rows: Vec<f32> = Vec::new();
-        for k in 0..index.shards() {
-            let piece = extract_shard(&sharded, k).unwrap();
-            dense_rows
-                .extend_from_slice(load_tensor(&piece, &codec).unwrap().to_dense().as_slice());
+        for piece in &pieces {
+            dense_rows.extend_from_slice(load_tensor(piece, &codec).unwrap().to_dense().as_slice());
         }
         assert_eq!(dense_rows, m.as_slice());
+    }
+
+    #[test]
+    fn split_pieces_are_the_saved_slices_byte_for_byte() {
+        // PD: 22 rows at p=4 is 6 block rows, the last one ragged.
+        let m = BlockPermDiagMatrix::random(22, 12, 4, &mut seeded_rng(12));
+        let pieces = split_tensor_rows(&save_tensor(&m).unwrap(), 4).unwrap();
+        let block_cols = 3;
+        let ranges = crate::format::block_row_ranges(22, 4, 4);
+        assert_eq!(pieces.len(), ranges.len());
+        for (piece, range) in pieces.iter().zip(ranges) {
+            let (b0, b1) = (
+                range.start / 4 * block_cols,
+                range.end.div_ceil(4) * block_cols,
+            );
+            let slice = BlockPermDiagMatrix::new(
+                range.len(),
+                12,
+                4,
+                m.perms()[b0..b1].iter().map(|&k| usize::from(k)).collect(),
+                m.values()[b0 * 4..b1 * 4].to_vec(),
+            )
+            .unwrap();
+            assert_eq!(piece, &save_tensor(&slice).unwrap(), "rows {range:?}");
+        }
+        // Dense: any row boundary.
+        let d = xavier_uniform(&mut seeded_rng(13), 7, 5);
+        let pieces = split_tensor_rows(&save_tensor(&d).unwrap(), 3).unwrap();
+        for (piece, range) in pieces.iter().zip(crate::format::block_row_ranges(7, 1, 3)) {
+            let rows = d.as_slice()[range.start * 5..range.end * 5].to_vec();
+            let slice = Matrix::from_vec(range.len(), 5, rows).unwrap();
+            assert_eq!(piece, &save_tensor(&slice).unwrap(), "rows {range:?}");
+        }
     }
 
     #[test]
@@ -1990,17 +1808,17 @@ mod tests {
         let whole = save_tensor(&m).unwrap();
         // 0 shards and more shards than block rows (8 rows / p=4 → 2) fail.
         assert!(matches!(
-            shard_tensor_snapshot(&whole, 0),
+            split_tensor_rows(&whole, 0),
             Err(SnapshotError::Malformed { .. })
         ));
         assert!(matches!(
-            shard_tensor_snapshot(&whole, 3),
+            split_tensor_rows(&whole, 3),
             Err(SnapshotError::Malformed { .. })
         ));
         // A non-tensor container is not shardable.
         let mlp = SnapshotBuilder::new(KIND_MLP).finish();
         assert!(matches!(
-            shard_tensor_snapshot(&mlp, 2),
+            split_tensor_rows(&mlp, 2),
             Err(SnapshotError::Malformed { .. })
         ));
         // Formats without a row-slicing path report UnsupportedOperator.
@@ -2010,81 +1828,45 @@ mod tests {
         let q = QuantizedLinear::from_op(op, QScheme::new(12, 12, 11));
         let qbytes = save_tensor(&q).unwrap();
         assert!(matches!(
-            shard_tensor_snapshot(&qbytes, 2),
+            split_tensor_rows(&qbytes, 2),
             Err(SnapshotError::UnsupportedOperator { .. })
         ));
     }
 
     #[test]
-    fn shard_extraction_rejects_out_of_range_and_wrong_kind() {
-        let m = BlockPermDiagMatrix::random(16, 8, 4, &mut seeded_rng(10));
-        let whole = save_tensor(&m).unwrap();
-        let sharded = shard_tensor_snapshot(&whole, 2).unwrap();
+    fn retired_kind_4_is_rejected() {
+        // A well-framed kind-4 container holding a valid tensor record.
+        let m = BlockPermDiagMatrix::random(8, 8, 4, &mut seeded_rng(14));
+        let mut b = SnapshotBuilder::new(4);
+        b.section("tensor", encode_tensor(&m).unwrap());
+        let bytes = b.finish();
         assert!(matches!(
-            extract_shard(&sharded, 2),
-            Err(SnapshotError::MissingSection { .. })
+            load_tensor(&bytes, &SnapshotCodec::new()),
+            Err(SnapshotError::Malformed { .. })
         ));
-        // A plain tensor container has no shard index.
-        assert!(read_shard_index(&whole).is_err());
-        assert!(extract_shard(&whole, 0).is_err());
+        assert!(matches!(
+            split_tensor_rows(&bytes, 2),
+            Err(SnapshotError::Malformed { .. })
+        ));
+        assert!(matches!(
+            read_block_index(&bytes),
+            Err(SnapshotError::Malformed { .. })
+        ));
     }
 
     #[test]
-    fn shard_index_validation_catches_tampering() {
-        let m = BlockPermDiagMatrix::random(16, 8, 4, &mut seeded_rng(11));
-        let whole = save_tensor(&m).unwrap();
-        let sharded = shard_tensor_snapshot(&whole, 2).unwrap();
-        let snap = Snapshot::parse(&sharded).unwrap();
-
-        // Rebuild the container with a gap in the row ranges: not a tiling.
-        let mut index = ByteWriter::new();
-        index.dim(16);
-        index.dim(8);
-        index.dim(4);
-        index.u32(2);
-        index.dim(0);
-        index.dim(8);
-        index.dim(12); // hole: 8..12 unowned
-        index.dim(16);
-        let mut b = SnapshotBuilder::new(KIND_SHARDED_TENSOR);
-        b.section(SHARD_INDEX_SECTION, index.into_vec());
-        for k in 0..2 {
-            b.section(
-                &shard_section_name(k),
-                snap.section(&shard_section_name(k)).unwrap().to_vec(),
-            );
-        }
+    fn misframed_payload_length_reports_the_checksum_it_breaks() {
+        // A payload length one short leaves the frame in bounds but reads the
+        // stored CRC one byte early: the payload fails its checksum before
+        // the stray trailing byte is ever looked at.
+        let mut b = SnapshotBuilder::new(KIND_TENSOR);
+        b.section("tensor", encode_tensor(&Matrix::identity(3)).unwrap());
+        let mut bytes = b.finish();
+        let len_off = 16 + 2 + "tensor".len();
+        bytes[len_off] -= 1;
         assert!(matches!(
-            read_shard_index(&b.finish()),
-            Err(SnapshotError::Malformed { .. })
-        ));
-
-        // An index claiming more ranges than its bytes hold is truncation.
-        let mut short = ByteWriter::new();
-        short.dim(16);
-        short.dim(8);
-        short.dim(4);
-        short.u32(1000);
-        let mut b = SnapshotBuilder::new(KIND_SHARDED_TENSOR);
-        b.section(SHARD_INDEX_SECTION, short.into_vec());
-        assert!(matches!(
-            read_shard_index(&b.finish()),
-            Err(SnapshotError::Truncated { .. })
-        ));
-
-        // A range whose shard section is missing is caught.
-        let mut index = ByteWriter::new();
-        index.dim(16);
-        index.dim(8);
-        index.dim(4);
-        index.u32(1);
-        index.dim(0);
-        index.dim(16);
-        let mut b = SnapshotBuilder::new(KIND_SHARDED_TENSOR);
-        b.section(SHARD_INDEX_SECTION, index.into_vec());
-        assert!(matches!(
-            read_shard_index(&b.finish()),
-            Err(SnapshotError::MissingSection { .. })
+            Snapshot::parse(&bytes),
+            Err(SnapshotError::ChecksumMismatch { .. })
         ));
     }
 

@@ -12,11 +12,10 @@
 //!   the replica count changes).
 //! * **RowSharded** (tensor parallelism) — one model's weight rows partition
 //!   across hosts at `p`-row block granularity
-//!   ([`permdnn_core::snapshot::shard_tensor_snapshot`], the Kun-peng
-//!   ordered-shard-file idea): host `k` loads *only its slice's bytes*
-//!   ([`permdnn_core::snapshot::extract_shard`]), every host runs every
-//!   batch on the shared input, and the per-request output is the row-wise
-//!   concatenation of the host outputs.
+//!   ([`permdnn_core::snapshot::split_tensor_rows`]): host `k` loads *only
+//!   its slice's bytes*, a standalone tensor snapshot of its own, every host
+//!   runs every batch on the shared input, and the per-request output is the
+//!   row-wise concatenation of the host outputs.
 //! * **Pipeline** (layer parallelism) — host `k` runs stage `k` of a model
 //!   split into a chain of snapshots; activations forward between hosts as
 //!   ticked messages with a modeled per-hop link cost, so consecutive
@@ -46,7 +45,7 @@ use std::sync::Arc;
 
 use pd_tensor::Matrix;
 use permdnn_core::format::{check_dim, BatchView, FormatError};
-use permdnn_core::snapshot::{extract_shard, read_shard_index, shard_tensor_snapshot};
+use permdnn_core::snapshot::split_tensor_rows;
 
 use crate::executor::ParallelExecutor;
 use crate::registry::{
@@ -332,7 +331,7 @@ impl BatchModel for PipelineModel {
     }
 
     fn mul_count_per_example(&self) -> u64 {
-        self.stages.iter().map(|s| s.mul_count_per_example()).sum()
+        saturating_sum(self.stages.iter().map(|s| s.mul_count_per_example()))
     }
 
     fn forward_batch(
@@ -349,6 +348,11 @@ impl BatchModel for PipelineModel {
         }
         Ok(cur)
     }
+}
+
+/// A sum of multiply counts, saturating at `u64::MAX` like every tick sum.
+fn saturating_sum(muls: impl IntoIterator<Item = u64>) -> u64 {
+    muls.into_iter().fold(0, u64::saturating_add)
 }
 
 /// FNV-1a 64 over a byte stream — the fixed routing hash.
@@ -476,10 +480,9 @@ impl Cluster {
     /// Registers a model on a replicated or row-sharded cluster.
     ///
     /// Replicated: every host receives the full snapshot. Row-sharded: the
-    /// snapshot splits via
-    /// [`shard_tensor_snapshot`](permdnn_core::snapshot::shard_tensor_snapshot)
-    /// and host `k` receives *only* shard `k`'s bytes. On any failure the id
-    /// is rolled back from every host.
+    /// snapshot splits via [`split_tensor_rows`] and host `k` receives *only*
+    /// slice `k`'s tensor snapshot. On any failure the id is rolled back from
+    /// every host.
     ///
     /// # Errors
     ///
@@ -521,27 +524,28 @@ impl Cluster {
                 Ok(())
             }
             ClusterTopology::RowSharded { shards } => {
-                let sharded = shard_tensor_snapshot(&snapshot, shards)?;
-                let index = read_shard_index(&sharded)?;
-                for k in 0..self.hosts.len() {
-                    let piece = extract_shard(&sharded, k).expect("index lists every shard");
+                let pieces = split_tensor_rows(&snapshot, shards)?;
+                for (k, piece) in pieces.into_iter().enumerate() {
                     if let Err(e) = self.hosts[k].insert(id, piece) {
                         self.rollback(id);
                         return Err(e.into());
                     }
                 }
-                let part_out_dims: Vec<usize> = index.shard_rows.iter().map(|r| r.len()).collect();
-                let part_muls: Vec<u64> = (0..self.hosts.len())
+                let (in_dim, _) = self.hosts[0].dims(id).expect("just inserted");
+                let part_out_dims: Vec<usize> = (0..shards)
+                    .map(|k| self.hosts[k].dims(id).expect("just inserted").1)
+                    .collect();
+                let part_muls: Vec<u64> = (0..shards)
                     .map(|k| self.hosts[k].mul_count(id).expect("just inserted"))
                     .collect();
                 self.models.insert(
                     id.to_string(),
                     ClusterModelMeta {
-                        in_dim: index.cols,
-                        out_dim: index.rows,
+                        in_dim,
+                        out_dim: part_out_dims.iter().sum(),
                         // The whole-model cost is the sum of the slice costs:
                         // row slices partition the stored weights exactly.
-                        mul_count: part_muls.iter().sum(),
+                        mul_count: saturating_sum(part_muls.iter().copied()),
                         slo,
                         part_out_dims,
                         part_muls,
@@ -613,7 +617,7 @@ impl Cluster {
             ClusterModelMeta {
                 in_dim,
                 out_dim,
-                mul_count: part_muls.iter().sum(),
+                mul_count: saturating_sum(part_muls.iter().copied()),
                 slo,
                 part_out_dims,
                 part_muls,
@@ -778,7 +782,7 @@ impl Cluster {
             for tally in report.per_model.values() {
                 stats.served += tally.served;
                 stats.batches += tally.batches;
-                stats.busy_ticks += tally.busy_ticks;
+                stats.busy_ticks = stats.busy_ticks.saturating_add(tally.busy_ticks);
             }
             per_host.push(stats);
             if !empty {
@@ -850,7 +854,7 @@ impl Cluster {
                         let ticks = part_ticks(k);
                         host_stats.served += batch;
                         host_stats.batches += 1;
-                        host_stats.busy_ticks += ticks;
+                        host_stats.busy_ticks = host_stats.busy_ticks.saturating_add(ticks);
                         slowest = slowest.max(ticks);
                         row_off += width;
                     }
@@ -882,7 +886,7 @@ impl Cluster {
                         ready = end.saturating_add(link);
                         per_host[k].served += batch;
                         per_host[k].batches += 1;
-                        per_host[k].busy_ticks += ticks;
+                        per_host[k].busy_ticks = per_host[k].busy_ticks.saturating_add(ticks);
                     }
                     end
                 }
@@ -1079,6 +1083,145 @@ mod tests {
                 "{:?}: only `b` is resident during the run",
                 cluster.topology()
             );
+        }
+    }
+
+    /// A serving config where every batch costs `u64::MAX` ticks, so any
+    /// tally of two batches' ticks overflows unless it saturates.
+    fn max_tick_cfg() -> TrafficConfig {
+        TrafficConfig::new(
+            ServeConfig {
+                batching: BatchConfig::new(1, 0),
+                service: ServiceModel {
+                    muls_per_worker_tick: 1024,
+                    batch_overhead_ticks: u64::MAX,
+                },
+            },
+            AdmissionPolicy::Fifo,
+        )
+    }
+
+    fn stream(id: &str, n: u64) -> Vec<TaggedRequest> {
+        (0..n)
+            .map(|i| TaggedRequest {
+                model_id: id.to_string(),
+                request: Request {
+                    id: i,
+                    arrival_tick: 0,
+                    input: vec![0.5; 8],
+                },
+            })
+            .collect()
+    }
+
+    #[test]
+    fn lockstep_busy_ticks_saturate_instead_of_wrapping() {
+        // Regression: row-sharded and pipeline hosts added each batch's
+        // ticks plainly, overflowing on the second `u64::MAX`-tick batch.
+        let mut sharded = Cluster::row_sharded(loaders(2), u64::MAX).unwrap();
+        sharded.insert("m", pd_snapshot(8, 5), None).unwrap();
+        let mut pipe = Cluster::pipeline(loaders(2), 3, u64::MAX).unwrap();
+        pipe.insert_stages("m", vec![pd_snapshot(8, 5), pd_snapshot(8, 6)], None)
+            .unwrap();
+        for mut cluster in [sharded, pipe] {
+            let report = cluster
+                .serve_traffic(
+                    &ParallelExecutor::sequential(),
+                    &max_tick_cfg(),
+                    stream("m", 3),
+                )
+                .unwrap();
+            for host in &report.per_host {
+                assert_eq!(host.batches, 3, "{:?}", cluster.topology());
+                assert_eq!(host.busy_ticks, u64::MAX, "{:?}", cluster.topology());
+            }
+        }
+    }
+
+    #[test]
+    fn replicated_busy_ticks_saturate_instead_of_wrapping() {
+        // Regression: both the per-model registry tally and the per-host sum
+        // over models overflowed.
+        let mut cluster =
+            Cluster::replicated(loaders(2), RoutingPolicy::HashModulo, u64::MAX).unwrap();
+        cluster.insert("a", pd_snapshot(8, 7), None).unwrap();
+        cluster.insert("b", pd_snapshot(8, 8), None).unwrap();
+        // Each host serves both models, so its sum over models is tested too.
+        for host in 0..2 {
+            for id in ["a", "b"] {
+                assert!((0..8).any(|i| cluster.route(id, i) == host));
+            }
+        }
+        let mut requests = stream("a", 8);
+        requests.extend(stream("b", 8));
+        let report = cluster
+            .serve_traffic(&ParallelExecutor::sequential(), &max_tick_cfg(), requests)
+            .unwrap();
+        for host in &report.per_host {
+            assert!(host.batches >= 2, "every host serves several batches");
+            assert_eq!(host.busy_ticks, u64::MAX);
+        }
+    }
+
+    /// A stage that reports `u64::MAX` multiplies per example.
+    struct MaxMuls(SingleLayerModel);
+
+    impl BatchModel for MaxMuls {
+        fn in_dim(&self) -> usize {
+            self.0.in_dim()
+        }
+
+        fn out_dim(&self) -> usize {
+            self.0.out_dim()
+        }
+
+        fn mul_count_per_example(&self) -> u64 {
+            u64::MAX
+        }
+
+        fn forward_batch(
+            &self,
+            xs: &BatchView<'_>,
+            exec: &ParallelExecutor,
+        ) -> Result<Matrix, FormatError> {
+            self.0.forward_batch(xs, exec)
+        }
+    }
+
+    #[test]
+    fn multiply_counts_saturate_instead_of_wrapping() {
+        // Regression: the fused chain's and the cluster's whole-model costs
+        // summed per-stage and per-slice multiply counts plainly.
+        let max_loader = || -> ModelLoader {
+            Box::new(|bytes| {
+                let op = load_tensor(bytes, &SnapshotCodec::new())?;
+                Ok(Arc::new(MaxMuls(SingleLayerModel::new(op))) as Arc<dyn BatchModel>)
+            })
+        };
+        let stage = |seed| -> Arc<dyn BatchModel> {
+            let op = load_tensor(&pd_snapshot(8, seed), &SnapshotCodec::new()).unwrap();
+            Arc::new(MaxMuls(SingleLayerModel::new(op)))
+        };
+        let chain = PipelineModel::new(vec![stage(9), stage(10)]).unwrap();
+        assert_eq!(chain.mul_count_per_example(), u64::MAX);
+
+        let mut pipe = Cluster::pipeline(vec![max_loader(), max_loader()], 3, u64::MAX).unwrap();
+        pipe.insert_stages("m", vec![pd_snapshot(8, 9), pd_snapshot(8, 10)], None)
+            .unwrap();
+        let mut sharded = Cluster::row_sharded(vec![max_loader(), max_loader()], u64::MAX).unwrap();
+        sharded.insert("m", pd_snapshot(8, 9), None).unwrap();
+        for mut cluster in [pipe, sharded] {
+            let cfg = TrafficConfig::new(
+                ServeConfig {
+                    batching: BatchConfig::new(2, 0),
+                    service: ServiceModel::default(),
+                },
+                AdmissionPolicy::Fifo,
+            );
+            let report = cluster
+                .serve_traffic(&ParallelExecutor::sequential(), &cfg, stream("m", 2))
+                .unwrap();
+            assert_eq!(report.completed.len(), 2, "{:?}", cluster.topology());
         }
     }
 

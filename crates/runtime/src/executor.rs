@@ -17,21 +17,18 @@ use pd_tensor::Matrix;
 use permdnn_core::format::{
     batch_len, check_dim, par_row_ranges, BatchView, CompressedLinear, FormatError,
 };
-use permdnn_core::qlinear::{QKernelStats, QScratch, QuantizedLinear};
 use permdnn_core::Scratch;
 
 use crate::pool::WorkerPool;
 
 /// One worker slot's reusable buffers: the kernel scratch arena plus the
-/// shard output staging vectors. Shards borrow their slot under a mutex for
+/// shard output staging vector. Shards borrow their slot under a mutex for
 /// the duration of one range, so concurrent `matmul` calls on the same
-/// executor never share buffers; steady-state serving reuses every
-/// allocation.
+/// executor never share buffers.
 #[derive(Default)]
 struct ShardArena {
     scratch: Scratch,
-    out_f32: Vec<f32>,
-    out_i16: Vec<i16>,
+    out: Vec<f32>,
 }
 
 fn lock_arena(arena: &Mutex<ShardArena>) -> std::sync::MutexGuard<'_, ShardArena> {
@@ -69,10 +66,8 @@ pub struct ParallelExecutor {
     pool: WorkerPool,
     /// One scratch arena per worker slot, indexed by shard position.
     arenas: Arc<Vec<Mutex<ShardArena>>>,
-    /// Recycled input-copy buffers for the sharded f32 path.
-    input_pool_f32: Mutex<Vec<Vec<f32>>>,
-    /// Recycled input-copy buffers for the sharded integer path.
-    input_pool_i16: Mutex<Vec<Vec<i16>>>,
+    /// Recycled input-copy buffers for the sharded path.
+    input_pool: Mutex<Vec<Vec<f32>>>,
 }
 
 impl ParallelExecutor {
@@ -84,8 +79,7 @@ impl ParallelExecutor {
         ParallelExecutor {
             pool,
             arenas,
-            input_pool_f32: Mutex::new(Vec::new()),
-            input_pool_i16: Mutex::new(Vec::new()),
+            input_pool: Mutex::new(Vec::new()),
         }
     }
 
@@ -100,12 +94,16 @@ impl ParallelExecutor {
         self.pool.workers()
     }
 
-    /// Runs `shard(range)` for each of the given ranges on the pool and
-    /// returns the results in range order.
+    /// Runs `shard(k, range)` for each of the given ranges on the pool, `k`
+    /// being the range's position in `ranges`, and returns the results in
+    /// range order.
     ///
     /// This is the generic fan-out/gather primitive the matmul path and the
     /// multi-host engine model are built on. The shard function is shared
     /// across workers via `Arc`, so captured context must be `Send + Sync`.
+    /// Each job releases its handle on the function before it reports, so
+    /// once this returns no worker still holds anything the function
+    /// captured, however the workers' exits interleave with the gather.
     ///
     /// # Panics
     ///
@@ -114,7 +112,7 @@ impl ParallelExecutor {
     pub fn map_shards<T, F>(&self, ranges: Vec<Range<usize>>, shard: Arc<F>) -> Vec<T>
     where
         T: Send + 'static,
-        F: Fn(Range<usize>) -> T + Send + Sync + 'static,
+        F: Fn(usize, Range<usize>) -> T + Send + Sync + 'static,
     {
         let n = ranges.len();
         if n == 0 {
@@ -123,16 +121,18 @@ impl ParallelExecutor {
         if n == 1 {
             // One shard: run inline, no dispatch overhead.
             let range = ranges.into_iter().next().expect("n == 1");
-            return vec![shard(range)];
+            return vec![shard(0, range)];
         }
         let (tx, rx) = channel::<(usize, T)>();
         for (idx, range) in ranges.into_iter().enumerate() {
             let tx = tx.clone();
             let shard = Arc::clone(&shard);
             self.pool.execute(move || {
+                let value = shard(idx, range);
+                drop(shard);
                 // A send failure means the gatherer already gave up; nothing
                 // useful to do with the result then.
-                let _ = tx.send((idx, shard(range)));
+                let _ = tx.send((idx, value));
             });
         }
         drop(tx);
@@ -175,8 +175,10 @@ impl ParallelExecutor {
     /// steady-state serving entry point. The output is resized in place
     /// (reusing its allocation), shard outputs land in per-worker arena
     /// buffers, kernel temporaries come from each arena's [`Scratch`], and
-    /// the one-off input copy cycles through an internal buffer pool: after
-    /// warm-up, a serve loop calling this repeatedly allocates nothing.
+    /// the one-off input copy cycles through an internal buffer pool; all of
+    /// these are reused across calls. A sharded call still allocates its
+    /// dispatch: the result channel, the boxed jobs, the shared `Arc`s and
+    /// the range list.
     ///
     /// Bit-for-bit identical to the sequential
     /// [`CompressedLinear::matmul`] for any worker count, like `matmul`.
@@ -211,7 +213,7 @@ impl ParallelExecutor {
         // product it enables. The buffer itself is recycled across calls.
         let dim = xs.dim();
         let mut input = self
-            .input_pool_f32
+            .input_pool
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .pop()
@@ -226,20 +228,13 @@ impl ParallelExecutor {
         let shard_op = Arc::clone(op);
         let shard_input = Arc::clone(&input);
         let shard_arenas = Arc::clone(&self.arenas);
-        let shard_ranges: Arc<Vec<Range<usize>>> = Arc::new(ranges.clone());
         let shards = self.map_shards(
             ranges.clone(),
             Arc::new(
-                move |range: Range<usize>| -> Result<Vec<f32>, FormatError> {
-                    // Recover this shard's slot index: range starts are unique
-                    // and strictly increasing, so the position lookup is exact.
-                    let idx = shard_ranges
-                        .iter()
-                        .position(|r| r.start == range.start)
-                        .expect("range comes from this dispatch");
+                move |idx: usize, range: Range<usize>| -> Result<Vec<f32>, FormatError> {
                     let mut arena = lock_arena(&shard_arenas[idx]);
                     let arena = &mut *arena;
-                    let mut buf = std::mem::take(&mut arena.out_f32);
+                    let mut buf = std::mem::take(&mut arena.out);
                     buf.clear();
                     buf.resize(range.len() * out_dim, 0.0);
                     let sub = BatchView::new(
@@ -261,7 +256,7 @@ impl ParallelExecutor {
                         out.as_mut_slice()[range.start * out_dim..range.end * out_dim]
                             .copy_from_slice(&buf);
                     }
-                    lock_arena(&self.arenas[idx]).out_f32 = buf;
+                    lock_arena(&self.arenas[idx]).out = buf;
                 }
                 Err(e) => {
                     if result.is_ok() {
@@ -270,125 +265,16 @@ impl ParallelExecutor {
                 }
             }
         }
-        // Recycle the input copy unless a straggler shard still holds a
-        // reference (then the buffer is simply dropped — correctness never
-        // depends on the pool).
+        // Every job dropped its handle on the input before reporting (see
+        // `map_shards`), so the copy goes back to the pool on every call;
+        // `try_unwrap` keeps the pool out of the correctness argument.
         if let Ok(input) = Arc::try_unwrap(input) {
-            self.input_pool_f32
+            self.input_pool
                 .lock()
                 .unwrap_or_else(PoisonError::into_inner)
                 .push(input);
         }
         result
-    }
-
-    /// Batched *integer* product on the 16-bit fixed-point backend: `batch`
-    /// row-major raw input vectors (at the operator's input Q-format) are
-    /// sharded into one contiguous row range per worker, each range runs
-    /// through [`QuantizedLinear::matmul_q`], and the raw outputs plus the
-    /// merged datapath counters are gathered in range order.
-    ///
-    /// Bit-for-bit identical to `op.matmul_q(xs_raw, batch)` for any worker
-    /// count — integer row-granular sharding re-orders nothing, and the
-    /// [`QKernelStats`] counters are pure sums, gathered deterministically.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::DimensionMismatch`] if
-    /// `xs_raw.len() != batch * op.in_dim()`, and
-    /// [`FormatError::LengthOverflow`] if that product or
-    /// `batch * op.out_dim()` overflows.
-    pub fn matmul_q(
-        &self,
-        op: &Arc<QuantizedLinear>,
-        xs_raw: &[i16],
-        batch: usize,
-    ) -> Result<(Vec<i16>, QKernelStats), FormatError> {
-        let in_dim = op.in_dim();
-        let out_dim = op.out_dim();
-        check_dim(
-            "matmul_q",
-            batch_len("matmul_q", batch, in_dim)?,
-            xs_raw.len(),
-        )?;
-        let out_len = batch_len("matmul_q", batch, out_dim)?;
-        if batch == 0 {
-            return Ok((Vec::new(), QKernelStats::default()));
-        }
-        let ranges = par_row_ranges(batch, self.workers());
-        let mut out = vec![0i16; out_len];
-        if ranges.len() == 1 {
-            let mut arena = lock_arena(&self.arenas[0]);
-            let stats =
-                op.matmul_q_into(xs_raw, batch, &mut out, arena.scratch.slot::<QScratch>())?;
-            return Ok((out, stats));
-        }
-
-        // Same input-copy discipline as the f32 path: one pooled buffer,
-        // shared read-only across shards, recycled after the gather.
-        let mut input = self
-            .input_pool_i16
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default();
-        input.clear();
-        input.extend_from_slice(xs_raw);
-        let input = Arc::new(input);
-
-        let shard_op = Arc::clone(op);
-        let shard_input = Arc::clone(&input);
-        let shard_arenas = Arc::clone(&self.arenas);
-        let shard_ranges: Arc<Vec<Range<usize>>> = Arc::new(ranges.clone());
-        let shards = self.map_shards(
-            ranges.clone(),
-            Arc::new(
-                move |range: Range<usize>| -> Result<(Vec<i16>, QKernelStats), FormatError> {
-                    let idx = shard_ranges
-                        .iter()
-                        .position(|r| r.start == range.start)
-                        .expect("range comes from this dispatch");
-                    let mut arena = lock_arena(&shard_arenas[idx]);
-                    let arena = &mut *arena;
-                    let mut buf = std::mem::take(&mut arena.out_i16);
-                    buf.clear();
-                    buf.resize(range.len() * out_dim, 0);
-                    let stats = shard_op.matmul_q_into(
-                        &shard_input[range.start * in_dim..range.end * in_dim],
-                        range.len(),
-                        &mut buf,
-                        arena.scratch.slot::<QScratch>(),
-                    )?;
-                    Ok((buf, stats))
-                },
-            ),
-        );
-
-        let mut stats = QKernelStats::default();
-        let mut result = Ok(());
-        for ((idx, range), shard) in ranges.into_iter().enumerate().zip(shards) {
-            match shard {
-                Ok((buf, shard_stats)) => {
-                    if result.is_ok() {
-                        out[range.start * out_dim..range.end * out_dim].copy_from_slice(&buf);
-                        stats.merge(&shard_stats);
-                    }
-                    lock_arena(&self.arenas[idx]).out_i16 = buf;
-                }
-                Err(e) => {
-                    if result.is_ok() {
-                        result = Err(e);
-                    }
-                }
-            }
-        }
-        if let Ok(input) = Arc::try_unwrap(input) {
-            self.input_pool_i16
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(input);
-        }
-        result.map(|_| (out, stats))
     }
 }
 
@@ -396,6 +282,7 @@ impl ParallelExecutor {
 mod tests {
     use super::*;
     use pd_tensor::init::{seeded_rng, xavier_uniform};
+    use permdnn_core::qlinear::{QScheme, QuantizedLinear};
     use permdnn_core::BlockPermDiagMatrix;
 
     fn pd_op(rows: usize, cols: usize, p: usize, seed: u64) -> Arc<dyn CompressedLinear> {
@@ -449,45 +336,67 @@ mod tests {
     fn map_shards_preserves_range_order() {
         let exec = ParallelExecutor::new(3);
         let ranges = par_row_ranges(20, 6);
-        let results = exec.map_shards(ranges.clone(), Arc::new(|r: Range<usize>| r.start));
+        let results = exec.map_shards(ranges.clone(), Arc::new(|_, r: Range<usize>| r.start));
         let expected: Vec<usize> = ranges.iter().map(|r| r.start).collect();
         assert_eq!(results, expected);
     }
 
+    fn quantized(op: &Arc<dyn CompressedLinear>, scheme: QScheme) -> Arc<QuantizedLinear> {
+        Arc::new(QuantizedLinear::from_op(Arc::clone(op), scheme))
+    }
+
     #[test]
     fn integer_matmul_is_bit_identical_for_any_worker_count() {
-        use permdnn_core::qlinear::{QScheme, QuantizedLinear};
         let op = pd_op(24, 36, 4, 7);
-        let q = Arc::new(QuantizedLinear::from_op(
-            Arc::clone(&op),
-            QScheme::calibrate(1.0, op.max_weight_abs(), 8.0),
-        ));
+        let q = quantized(&op, QScheme::calibrate(1.0, op.max_weight_abs(), 8.0));
         let xs_mat = xavier_uniform(&mut seeded_rng(8), 11, 36);
+        let xs = BatchView::from_matrix(&xs_mat);
+        // The f32 surface is the integer kernel, dequantized row by row.
         let mut xs_raw = Vec::new();
         for i in 0..11 {
             xs_raw.extend(q.quantize_input(xs_mat.row(i)));
         }
-        let sequential = q.matmul_q(&xs_raw, 11).unwrap();
+        let (raw, _) = q.matmul_q(&xs_raw, 11).unwrap();
+        let sequential = q.matmul(&xs).unwrap();
+        assert_eq!(sequential.as_slice(), q.dequantize_output(&raw));
+        let q: Arc<dyn CompressedLinear> = q;
         for workers in [1, 2, 3, 7, 16] {
             let exec = ParallelExecutor::new(workers);
-            let parallel = exec.matmul_q(&q, &xs_raw, 11).unwrap();
+            let parallel = exec.matmul(&q, &xs).unwrap();
             assert_eq!(parallel, sequential, "workers = {workers}");
         }
     }
 
     #[test]
     fn integer_matmul_validates_input_length() {
-        use permdnn_core::qlinear::{QScheme, QuantizedLinear};
         let op = pd_op(8, 8, 4, 9);
-        let q = Arc::new(QuantizedLinear::from_op(Arc::clone(&op), QScheme::q3_12()));
+        let q: Arc<dyn CompressedLinear> = quantized(&op, QScheme::q3_12());
         let exec = ParallelExecutor::new(2);
+        let data = [0.0f32; 14];
         assert!(matches!(
-            exec.matmul_q(&q, &[0i16; 15], 2),
+            exec.matmul(&q, &BatchView::new(&data, 2, 7).unwrap()),
             Err(FormatError::DimensionMismatch { .. })
         ));
-        let (out, stats) = exec.matmul_q(&q, &[], 0).unwrap();
-        assert!(out.is_empty());
-        assert_eq!(stats, permdnn_core::qlinear::QKernelStats::default());
+        let out = exec
+            .matmul(&q, &BatchView::new(&[], 0, 8).unwrap())
+            .unwrap();
+        assert_eq!(out.shape(), (0, 8));
+    }
+
+    #[test]
+    fn sharded_calls_recycle_their_input_copy() {
+        // A worker that reported its shard but still held the input copy
+        // would make the call drop the copy and the next call allocate a
+        // fresh one, depending on thread timing.
+        let op = pd_op(16, 16, 4, 10);
+        let xs_mat = xavier_uniform(&mut seeded_rng(11), 4, 16);
+        let xs = BatchView::from_matrix(&xs_mat);
+        let exec = ParallelExecutor::new(2);
+        let mut out = Matrix::zeros(0, 0);
+        for call in 0..2000 {
+            exec.matmul_into(&op, &xs, &mut out).unwrap();
+            assert_eq!(exec.input_pool.lock().unwrap().len(), 1, "call {call}");
+        }
     }
 
     #[test]

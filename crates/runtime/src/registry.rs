@@ -1181,7 +1181,7 @@ impl ModelRegistry {
             let tally = per_model.entry(id.clone()).or_default();
             tally.served += size;
             tally.batches += 1;
-            tally.busy_ticks += ticks;
+            tally.busy_ticks = tally.busy_ticks.saturating_add(ticks);
             for (i, request) in batch.requests.into_iter().enumerate() {
                 completed.push(TaggedCompletion {
                     model_id: id.clone(),
@@ -1859,6 +1859,34 @@ mod tests {
             }
             assert_eq!(report.offered(), stream.len());
         }
+    }
+
+    #[test]
+    fn busy_ticks_saturate_instead_of_wrapping() {
+        // Regression: every batch costs `u64::MAX` ticks, so the per-model
+        // busy-tick tally overflowed on the second batch — a debug-build
+        // panic, and a wrapped count in release builds.
+        let mut reg = ModelRegistry::new(tensor_loader(), u64::MAX);
+        reg.insert("m", pd_snapshot(8, 42)).unwrap();
+        let cfg = ServeConfig {
+            batching: BatchConfig::new(1, 0),
+            service: ServiceModel {
+                muls_per_worker_tick: 1024,
+                batch_overhead_ticks: u64::MAX,
+            },
+        };
+        let tagged = crate::serve::seeded_request_stream(43, 3, 8, 0.0)
+            .into_iter()
+            .map(|request| TaggedRequest {
+                model_id: "m".to_string(),
+                request,
+            })
+            .collect();
+        let report = reg
+            .serve_multi(&ParallelExecutor::sequential(), &cfg, tagged)
+            .unwrap();
+        assert_eq!(report.per_model["m"].batches, 3);
+        assert_eq!(report.per_model["m"].busy_ticks, u64::MAX);
     }
 
     #[test]

@@ -70,7 +70,7 @@ pub fn simulate_multi_host(
     let shard_workload = *workload;
     let per_host: Vec<EngineResult> = exec.map_shards(
         ranges,
-        Arc::new(move |range: std::ops::Range<usize>| {
+        Arc::new(move |_, range: std::ops::Range<usize>| {
             let host_workload = FcWorkload {
                 rows: range.len(),
                 ..shard_workload

@@ -14,16 +14,14 @@
 //! 3. **Pipeline bit-exactness** — a staged chain across hosts serves the
 //!    same bits as the fused [`PipelineModel`] on one host, for every worker
 //!    count; the modeled link cost moves completion ticks, never outputs.
-//! 4. **Shard-section round-trip** — proptest: decoding a whole tensor
-//!    equals concatenating its decoded shards (dense and PD), and corrupting
-//!    a sharded container (bit flips, truncation) yields typed errors, never
-//!    panics.
+//! 4. **Row-split round-trip** — proptest: decoding a whole tensor equals
+//!    concatenating the decoded per-host snapshots `split_tensor_rows`
+//!    returns (dense and PD), and corrupting the tensor snapshot it splits
+//!    (bit flips, truncation) yields typed errors, never panics.
 
 use std::sync::Arc;
 
-use permdnn::core::snapshot::{
-    extract_shard, load_tensor, read_shard_index, save_tensor, shard_tensor_snapshot, SnapshotCodec,
-};
+use permdnn::core::snapshot::{load_tensor, save_tensor, split_tensor_rows, SnapshotCodec};
 use permdnn::core::BlockPermDiagMatrix;
 use permdnn::runtime::{
     interleave_streams, AdmissionPolicy, BatchConfig, BatchModel, Cluster, ClusterReport,
@@ -511,13 +509,8 @@ fn pipeline_model_is_the_stage_composition() {
 }
 
 // ---------------------------------------------------------------------------
-// 4. Shard-section round-trip + corruption.
+// 4. Row-split round-trip + corruption.
 // ---------------------------------------------------------------------------
-
-fn sharded_victim() -> Vec<u8> {
-    let whole = pd_snapshot(32, 32, 0x99);
-    shard_tensor_snapshot(&whole, 3).unwrap()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -531,21 +524,21 @@ proptest! {
         let codec = SnapshotCodec::new();
         // PD tensor.
         let pd = BlockPermDiagMatrix::random(dim, dim, 4, &mut seeded_rng(seed));
-        let sharded = shard_tensor_snapshot(&save_tensor(&pd).unwrap(), shards).unwrap();
-        let index = read_shard_index(&sharded).unwrap();
-        prop_assert_eq!(index.shards(), shards);
+        let pieces = split_tensor_rows(&save_tensor(&pd).unwrap(), shards).unwrap();
+        prop_assert_eq!(pieces.len(), shards);
         let mut rows: Vec<f32> = Vec::new();
-        for k in 0..shards {
-            let op = load_tensor(&extract_shard(&sharded, k).unwrap(), &codec).unwrap();
+        for piece in &pieces {
+            let op = load_tensor(piece, &codec).unwrap();
             rows.extend_from_slice(op.to_dense().as_slice());
         }
         prop_assert_eq!(rows, pd.to_dense().into_vec());
         // Dense tensor, same split.
         let dense = xavier_uniform(&mut seeded_rng(seed + 1), dim, 8);
-        let sharded = shard_tensor_snapshot(&save_tensor(&dense).unwrap(), shards).unwrap();
+        let pieces = split_tensor_rows(&save_tensor(&dense).unwrap(), shards).unwrap();
+        prop_assert_eq!(pieces.len(), shards);
         let mut rows: Vec<f32> = Vec::new();
-        for k in 0..shards {
-            let op = load_tensor(&extract_shard(&sharded, k).unwrap(), &codec).unwrap();
+        for piece in &pieces {
+            let op = load_tensor(piece, &codec).unwrap();
             rows.extend_from_slice(op.to_dense().as_slice());
         }
         prop_assert_eq!(rows, dense.into_vec());
@@ -553,21 +546,20 @@ proptest! {
 
     #[test]
     fn sharded_container_bit_flips_are_typed_errors((byte, bit) in (0usize..10_000, 0u8..8)) {
-        let mut bytes = sharded_victim();
+        let mut bytes = pd_snapshot(32, 32, 0x99);
         let byte = byte % bytes.len();
         bytes[byte] ^= 1 << bit;
-        // Every flip lands in framing (validation fails), a section name
-        // (the shard/index lookup fails) or a checksummed payload (CRC
-        // fails): always a clean Err, never a panic, never a silent load.
-        prop_assert!(read_shard_index(&bytes).is_err());
-        prop_assert!(extract_shard(&bytes, 0).is_err());
+        // Every flip lands in the header or framing (validation fails), the
+        // section name (the "tensor" lookup fails) or the checksummed
+        // payload (CRC fails): always a clean Err, never a panic, never a
+        // silent split.
+        prop_assert!(split_tensor_rows(&bytes, 3).is_err());
     }
 
     #[test]
     fn sharded_container_truncation_is_a_typed_error(cut in 0usize..10_000) {
-        let bytes = sharded_victim();
+        let bytes = pd_snapshot(32, 32, 0x99);
         let cut = cut % bytes.len();
-        prop_assert!(read_shard_index(&bytes[..cut]).is_err());
-        prop_assert!(extract_shard(&bytes[..cut], 1).is_err());
+        prop_assert!(split_tensor_rows(&bytes[..cut], 3).is_err());
     }
 }

@@ -254,20 +254,19 @@ fn mixed_format_serving_is_bit_exact_across_worker_counts() {
 fn quantized_integer_matmul_is_bit_identical_for_every_format_and_worker_count() {
     use permdnn::core::qlinear::{QScheme, QuantizedLinear};
     let xs_mat = xavier_uniform(&mut seeded_rng(53), 9, 32);
+    let xs = BatchView::from_matrix(&xs_mat);
     for format in registry_formats() {
         let op: Arc<dyn CompressedLinear> = Arc::from(format.build(20, 32, &mut seeded_rng(51)));
-        let q = Arc::new(QuantizedLinear::from_op(
+        // Quantized models serve through the executor's one f32 path; the
+        // dequantized outputs are exact images of the raw `i16` ones.
+        let q: Arc<dyn CompressedLinear> = Arc::new(QuantizedLinear::from_op(
             Arc::clone(&op),
             QScheme::calibrate(1.0, op.max_weight_abs(), 16.0),
         ));
-        let mut xs_raw = Vec::new();
-        for i in 0..9 {
-            xs_raw.extend(q.quantize_input(xs_mat.row(i)));
-        }
-        let sequential = q.matmul_q(&xs_raw, 9).unwrap();
+        let sequential = q.matmul(&xs).unwrap();
         for workers in [1usize, 2, 3, 7] {
             let exec = ParallelExecutor::new(workers);
-            let parallel = exec.matmul_q(&q, &xs_raw, 9).unwrap();
+            let parallel = exec.matmul(&q, &xs).unwrap();
             assert_eq!(
                 parallel,
                 sequential,

@@ -16,7 +16,7 @@
 
 use std::sync::Arc;
 
-use permdnn::core::format::CompressedLinear;
+use permdnn::core::format::{BatchView, CompressedLinear};
 use permdnn::core::qlinear::{QScheme, QuantizedLinear};
 use permdnn::nn::data::GaussianClusters;
 use permdnn::nn::layers::WeightFormat;
@@ -97,21 +97,18 @@ proptest! {
         let mut rng = seeded_rng(seed);
         let op: Arc<dyn CompressedLinear> =
             Arc::from(WeightFormat::PermutedDiagonal { p: 4 }.build(24, 32, &mut rng));
-        let q = Arc::new(QuantizedLinear::from_op(
+        let q: Arc<dyn CompressedLinear> = Arc::new(QuantizedLinear::from_op(
             Arc::clone(&op),
             QScheme::calibrate(1.0, op.max_weight_abs(), 16.0),
         ));
-        let mut xs_raw = Vec::new();
-        for i in 0..batch {
-            let x: Vec<f32> = (0..32)
-                .map(|j| ((seed as f32 + (i * 32 + j) as f32) * 0.37).sin())
-                .collect();
-            xs_raw.extend(q.quantize_input(&x));
-        }
-        let sequential = q.matmul_q(&xs_raw, batch).unwrap();
+        let xs_flat: Vec<f32> = (0..batch * 32)
+            .map(|n| ((seed as f32 + n as f32) * 0.37).sin())
+            .collect();
+        let xs = BatchView::new(&xs_flat, batch, 32).unwrap();
+        let sequential = q.matmul(&xs).unwrap();
         for workers in [1usize, 2, 3, 7] {
             let exec = ParallelExecutor::new(workers);
-            let parallel = exec.matmul_q(&q, &xs_raw, batch).unwrap();
+            let parallel = exec.matmul(&q, &xs).unwrap();
             prop_assert_eq!(&parallel, &sequential, "workers = {}", workers);
         }
     }

@@ -325,7 +325,8 @@ proptest! {
         }
     }
 
-    // 5b. Integer path: executor matmul_q vs sequential matmul_q, repeated.
+    // 5b. Integer path: the quantized operator through the executor's
+    // arena-backed `matmul_into` vs its sequential matmul, repeated.
     #[test]
     fn prop_executor_integer_path_matches_sequential(
         (rb, cb, batch, seed) in (1usize..=6, 1usize..=6, 1usize..=9, 0u64..300)
@@ -333,22 +334,20 @@ proptest! {
         let (rows, cols) = (rb * 4, cb * 4);
         let op: Arc<dyn CompressedLinear> =
             Arc::new(BlockPermDiagMatrix::random(rows, cols, 4, &mut seeded_rng(seed)));
-        let q = Arc::new(QuantizedLinear::from_op(
+        let q: Arc<dyn CompressedLinear> = Arc::new(QuantizedLinear::from_op(
             Arc::clone(&op),
             QScheme::calibrate(1.0, op.max_weight_abs(), 8.0),
         ));
         for workers in WORKER_COUNTS {
             let exec = ParallelExecutor::new(workers);
+            let mut out = permdnn::tensor::Matrix::zeros(0, 0);
             for trial in 0..3u64 {
                 let b = 1 + ((batch + trial as usize) % 9);
                 let xs_mat = xavier_uniform(&mut seeded_rng(seed ^ (trial + 3)), b, cols);
-                let mut xs_raw = Vec::with_capacity(b * cols);
-                for i in 0..b {
-                    xs_raw.extend(q.quantize_input(xs_mat.row(i)));
-                }
-                let sequential = q.matmul_q(&xs_raw, b).unwrap();
-                let parallel = exec.matmul_q(&q, &xs_raw, b).unwrap();
-                prop_assert_eq!(&parallel, &sequential, "workers={} trial {}", workers, trial);
+                let xs = BatchView::from_matrix(&xs_mat);
+                let sequential = q.matmul(&xs).unwrap();
+                exec.matmul_into(&q, &xs, &mut out).unwrap();
+                prop_assert_eq!(&out, &sequential, "workers={} trial {}", workers, trial);
             }
         }
     }
@@ -532,8 +531,9 @@ fn serve_traffic_outputs_identical_across_workers_with_reused_buffers() {
     }
 }
 
-// The merged counters from the sharded integer path are pure sums: check the
-// degenerate single-row batch on many workers, where most shards are empty.
+// The degenerate single-row batch on many workers, where most shards are
+// empty: the executor's output is the integer kernel's, dequantized, and the
+// kernel's batched counters are the per-row ones.
 #[test]
 fn executor_integer_stats_are_exact_on_tiny_batches() {
     let op: Arc<dyn CompressedLinear> =
@@ -542,12 +542,16 @@ fn executor_integer_stats_are_exact_on_tiny_batches() {
         Arc::clone(&op),
         QScheme::calibrate(1.0, op.max_weight_abs(), 8.0),
     ));
-    let x_raw = q.quantize_input(&[0.5f32; 12]);
-    let (y_seq, stats_seq) = q.matmul_q(&x_raw, 1).unwrap();
+    let x = [0.5f32; 12];
+    let x_raw = q.quantize_input(&x);
+    let (y_raw, stats_seq) = q.matmul_q(&x_raw, 1).unwrap();
+    assert_eq!(stats_seq, q.matvec_q(&x_raw).unwrap().1);
     let exec = ParallelExecutor::new(8);
-    let (y_par, stats_par) = exec.matmul_q(&q, &x_raw, 1).unwrap();
-    assert_eq!(y_par, y_seq);
-    assert_eq!(stats_par, stats_seq);
+    let q_op: Arc<dyn CompressedLinear> = q.clone();
+    let y_par = exec
+        .matmul(&q_op, &BatchView::new(&x, 1, 12).unwrap())
+        .unwrap();
+    assert_eq!(y_par.row(0), q.dequantize_output(&y_raw));
     assert_ne!(
         stats_seq,
         QKernelStats::default(),
@@ -608,11 +612,4 @@ fn batched_shape_checks_reject_length_overflow() {
         ),
         "matmul_q_into"
     );
-    for workers in [1, 2] {
-        let exec = ParallelExecutor::new(workers);
-        assert!(
-            overflow(exec.matmul_q(&q, &[], huge).map(|_| ())),
-            "executor matmul_q"
-        );
-    }
 }
