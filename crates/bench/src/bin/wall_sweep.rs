@@ -17,20 +17,23 @@
 //!   [`QuantizedLinear::matvec_q_reference`] (boxed `Accumulator24`s
 //!   allocated per call).
 //!
-//! Three more quote PD against the strongest baseline at its shape: the same
-//! operator stored dense, both through their production `matmul_into` (dense
-//! runs its across-batch kernel): p=8 and p=4 at the sweep's batch, and p=4
-//! at batch 1 (one single-row call per input).
+//! Five more quote PD against the strongest baselines at its shape, the same
+//! operator stored dense or as CSC at PD's density, both sides through their
+//! production `matmul_into` (dense runs its across-batch kernel, CSC its
+//! cache-blocked one): PD over dense at p=8 and p=4 at the sweep's batch and
+//! at p=4 at batch 1, and PD over CSC at p=4 at the sweep's batch and at
+//! batch 1 (one single-row call per input).
 //!
 //! Every pair is asserted **bit-identical** before timing, and the binary
 //! then asserts each point's speedup floor: circulant ≥ 3x, pd_f32 and q16 ≥
-//! 1.2x, PD over dense ≥ 2.5x (p=8) and ≥ 1.1x (p=4) at batch 32, and ≥ 3x
-//! (p=4) at batch 1. Both sides of a point are timed in alternation and the
-//! speedup is the median of the per-pair ratios, so a shift in machine speed
-//! lands on both sides alike. Unlike the tick-modeled sweeps, these numbers
-//! are machine-dependent; the floors are set below what a 2-core release
-//! build measures. Results land in `BENCH_wall.json` (override with
-//! `--out PATH`).
+//! 1.2x, PD over dense ≥ 4x (p=8) and ≥ 2x (p=4) at batch 32 and ≥ 3x (p=4)
+//! at batch 1, and PD over CSC ≥ 4x at batch 32 and ≥ 2x at batch 1. Both
+//! sides of a point are timed in alternation and the speedup is the median
+//! of the per-pair ratios, so a shift in machine speed lands on both sides
+//! alike. Unlike the tick-modeled sweeps, these numbers are
+//! machine-dependent; the floors are set below what a 2-core release build
+//! measures, with or without overflow checks. Results land in
+//! `BENCH_wall.json` (override with `--out PATH`).
 //!
 //! Run: `cargo run --release -p permdnn-bench --bin wall_sweep [-- --full]`
 
@@ -48,6 +51,7 @@ use permdnn_circulant::{BlockCirculantMatrix, CirculantScratch};
 use permdnn_core::format::{BatchView, CompressedLinear};
 use permdnn_core::qlinear::{QScheme, QScratch, QuantizedLinear};
 use permdnn_core::{BlockPermDiagMatrix, Scratch};
+use permdnn_prune::CscMatrix;
 
 struct WallPoint {
     workload: &'static str,
@@ -121,9 +125,11 @@ fn main() {
         circulant_point(n, batch, reps),
         pd_f32_point(n, batch, reps),
         q16_point(n, batch, reps),
-        pd_vs_dense_point("pd_p8_vs_dense", n, 8, batch, reps, 2.5),
-        pd_vs_dense_point("pd_p4_vs_dense", n, 4, batch, reps, 1.1),
-        pd_vs_dense_point("pd_p4_vs_dense_b1", n, 4, 1, reps, 3.0),
+        pd_vs_point("pd_p8_vs_dense", Baseline::Dense, n, 8, batch, reps, 4.0),
+        pd_vs_point("pd_p4_vs_dense", Baseline::Dense, n, 4, batch, reps, 2.0),
+        pd_vs_point("pd_p4_vs_dense_b1", Baseline::Dense, n, 4, 1, reps, 3.0),
+        pd_vs_point("pd_p4_vs_csc", Baseline::Csc, n, 4, batch, reps, 4.0),
+        pd_vs_point("pd_p4_vs_csc_b1", Baseline::Csc, n, 4, 1, reps, 2.0),
     ];
 
     for p in &points {
@@ -310,11 +316,38 @@ fn q16_point(n: usize, batch: usize, reps: usize) -> WallPoint {
     }
 }
 
-/// PD at block size `p` vs the same operator stored dense, both through
-/// their production `matmul_into` on one arena. At batch 1 each timed pass
-/// makes 32 single-row calls, one per input, as a batch-1 server would.
-fn pd_vs_dense_point(
+/// The baselines PD is quoted against: the same operator stored dense, or
+/// stored as CSC, which keeps exactly PD's non-zero weights and so has PD's
+/// density.
+#[derive(Clone, Copy)]
+enum Baseline {
+    Dense,
+    Csc,
+}
+
+impl Baseline {
+    fn label(self) -> &'static str {
+        match self {
+            Baseline::Dense => "dense matmul_into",
+            Baseline::Csc => "CSC matmul_into",
+        }
+    }
+
+    fn build(self, w: &BlockPermDiagMatrix) -> Box<dyn CompressedLinear> {
+        match self {
+            Baseline::Dense => Box::new(w.to_dense()),
+            Baseline::Csc => Box::new(CscMatrix::from_dense(&w.to_dense())),
+        }
+    }
+}
+
+/// PD at block size `p` vs the same operator in `baseline`'s format, both
+/// through their production `matmul_into` on an arena of their own. At
+/// batch 1 each timed pass makes 32 single-row calls, one per input, as a
+/// batch-1 server would.
+fn pd_vs_point(
     workload: &'static str,
+    baseline: Baseline,
     n: usize,
     p: usize,
     batch: usize,
@@ -322,7 +355,7 @@ fn pd_vs_dense_point(
     floor: f64,
 ) -> WallPoint {
     let w = BlockPermDiagMatrix::random(n, n, p, &mut seeded_rng(41));
-    let dense = w.to_dense();
+    let base = baseline.build(&w);
     let calls = if batch == 1 { 32 } else { 1 };
     let xs_mat = batch_matrix(n, batch * calls, 42);
     let views: Vec<BatchView<'_>> = xs_mat
@@ -332,17 +365,23 @@ fn pd_vs_dense_point(
         .collect();
 
     // Dense adds the structural zeros too, but `w · x + (±0)` leaves every
-    // running sum as it is, so both formats agree bit for bit.
-    let (mut pd_scratch, mut dense_scratch) = (Scratch::new(), Scratch::new());
+    // running sum as it is; CSC skips zero inputs, where PD adds `q · (±0)`
+    // to a sum that started at `+0.0`. Every output sums its terms in
+    // ascending column order on all three, so they agree bit for bit.
+    let (mut pd_scratch, mut base_scratch) = (Scratch::new(), Scratch::new());
     let mut out = vec![0.0f32; batch * n];
-    let mut out_dense = vec![0.0f32; batch * n];
+    let mut out_base = vec![0.0f32; batch * n];
     for xs in &views {
         w.matmul_into(xs, &mut out, &mut pd_scratch)
             .expect("dimensions match");
-        dense
-            .matmul_into(xs, &mut out_dense, &mut dense_scratch)
+        base.matmul_into(xs, &mut out_base, &mut base_scratch)
             .expect("dimensions match");
-        assert_eq!(out, out_dense, "PD and dense outputs must be bit-identical");
+        assert_eq!(
+            out,
+            out_base,
+            "PD and {} outputs must be bit-identical",
+            baseline.label()
+        );
     }
 
     let (optimized_us, reference_us, speedup) = paired_us(
@@ -356,17 +395,16 @@ fn pd_vs_dense_point(
         },
         || {
             for xs in &views {
-                dense
-                    .matmul_into(black_box(xs), &mut out_dense, &mut dense_scratch)
+                base.matmul_into(black_box(xs), &mut out_base, &mut base_scratch)
                     .expect("checked above");
             }
-            black_box(&out_dense);
+            black_box(&out_base);
         },
     );
 
     WallPoint {
         workload,
-        baseline: "dense matmul_into",
+        baseline: baseline.label(),
         rows: n,
         cols: n,
         batch,

@@ -354,9 +354,9 @@ pub trait CompressedLinear: Send + Sync {
     ///
     /// This is the allocation-free hot path `permdnn_runtime::ParallelExecutor`
     /// drives per worker shard. The default applies
-    /// [`matvec_scratch`](Self::matvec_scratch) row by row (the permuted-diagonal
-    /// kernel runs this way); formats with a batched kernel of their own
-    /// (dense, CSC) override it.
+    /// [`matvec_scratch`](Self::matvec_scratch) row by row; formats with a
+    /// batched kernel of their own (dense, CSC, permuted diagonal and
+    /// shared-PD) override it.
     ///
     /// # Errors
     ///
@@ -476,11 +476,10 @@ impl CompressedLinear for BlockPermDiagMatrix {
     }
 
     /// The index-free rotated-window kernel (see
-    /// `BlockPermDiagMatrix::matvec_windows`): every column is computed from
-    /// `(c + k_l) mod p`, and the input windows live in a `scratch` slot.
-    /// Bit-identical to [`matvec_reference`](BlockPermDiagMatrix::matvec_reference)
-    /// for finite weights. Batches run through the trait's default
-    /// `matmul_into`, so matvec and matmul share this one kernel.
+    /// `BlockPermDiagMatrix::matmul_windows`) on a batch of one row, which
+    /// runs two block rows at a time. Bit-identical to
+    /// [`matvec_reference`](BlockPermDiagMatrix::matvec_reference) for finite
+    /// weights.
     fn matvec_scratch(
         &self,
         x: &[f32],
@@ -489,7 +488,32 @@ impl CompressedLinear for BlockPermDiagMatrix {
     ) -> Result<(), FormatError> {
         check_dim("matvec_into", self.cols(), x.len())?;
         check_dim("matvec_into", self.rows(), y.len())?;
-        self.matvec_windows(x, y, scratch);
+        self.matmul_windows(&BatchView::new(x, 1, self.cols())?, y, scratch);
+        Ok(())
+    }
+
+    /// Across-batch rotated-window kernel (see
+    /// `BlockPermDiagMatrix::matmul_windows`): for `p ∈ {2, 4, 8, 16}` the
+    /// batch runs in chunks of `32 / p` rows (halved while fewer are left),
+    /// and each block's `q` and `k_l` are loaded once per chunk instead of
+    /// once per row. Every column is computed from `(c + k_l) mod p`, and the
+    /// input windows live in a `scratch` slot. Matvec is this kernel at
+    /// batch 1, and each row is bit-identical to
+    /// [`matvec_reference`](BlockPermDiagMatrix::matvec_reference) for finite
+    /// weights.
+    fn matmul_into(
+        &self,
+        xs: &BatchView<'_>,
+        out: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), FormatError> {
+        check_dim("matmul_into", self.cols(), xs.dim())?;
+        check_dim(
+            "matmul_into",
+            batch_len("matmul_into", xs.batch(), self.rows())?,
+            out.len(),
+        )?;
+        self.matmul_windows(xs, out, scratch);
         Ok(())
     }
 
@@ -723,7 +747,8 @@ mod tests {
     #[test]
     fn blocked_matmul_matches_per_row_matvec_across_chunk_boundaries() {
         // Batch 37 exercises full 16-row chunks plus a ragged 5-row tail of
-        // dense's across-batch kernel, and PD's row-by-row default.
+        // dense's across-batch kernel, and PD's row-by-row run-time width
+        // (p = 3).
         let dense = xavier_uniform(&mut seeded_rng(20), 11, 9);
         let pd = BlockPermDiagMatrix::random(6, 9, 3, &mut seeded_rng(21));
         let xs_mat = xavier_uniform(&mut seeded_rng(22), 37, 9);

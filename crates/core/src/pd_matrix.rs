@@ -4,7 +4,7 @@ use pd_tensor::init::xavier_uniform;
 use pd_tensor::Matrix;
 use rand::Rng;
 
-use crate::{PdError, PermutedDiagonalBlock, Scratch};
+use crate::{BatchView, PdError, PermutedDiagonalBlock, Scratch};
 
 /// How the per-block permutation parameters `k_l` are chosen (Section III-D).
 ///
@@ -33,9 +33,10 @@ pub enum PermutationIndexing {
 ///
 /// with `c = i mod p`, `d = j mod p`. Only the `q` vector (one value per block row-slot)
 /// and the small `k_l` vector are stored: the compression ratio over a dense matrix is
-/// exactly `p`, with no per-entry index storage at all. The matvec kernel
-/// (`CompressedLinear::matvec_scratch`) computes every column from `(c + k_l) mod p`
-/// as the paper's PE does, so the decoded operator holds nothing beyond `q` and `k_l`.
+/// exactly `p`, with no per-entry index storage at all. The kernel
+/// (`CompressedLinear::matmul_into`, which `matvec_scratch` runs at batch 1) computes
+/// every column from `(c + k_l) mod p` as the paper's PE does, so the decoded operator
+/// holds nothing beyond `q` and `k_l`.
 ///
 /// # Example
 ///
@@ -60,9 +61,11 @@ pub struct BlockPermDiagMatrix {
     values: Vec<f32>,
 }
 
-/// The rotated-window kernel's input buffer, held in a [`Scratch`] slot: each
-/// block column's `p` inputs (zero-padded past `cols`) written twice in a row,
-/// so rotation `k` of block column `bc` is the window `[bc·2p + k ..][..p]`.
+/// The rotated-window kernel's input buffer, held in a [`Scratch`] slot, for
+/// one chunk of `nb` batch rows laid out `[bc][b][2p]`: batch row `b`'s `p`
+/// inputs of block column `bc` (zero-padded past `cols`) written twice in a
+/// row, so its rotation `k` is the window `[(bc·nb + b)·2p + k ..][..p]` and
+/// the chunk's `nb` windows of one block column are contiguous.
 #[derive(Debug, Default)]
 struct PdWindows(Vec<f32>);
 
@@ -481,9 +484,9 @@ impl BlockPermDiagMatrix {
     /// output it reaches — the PE dataflow of Fig. 5, zero inputs skipped.
     ///
     /// This is the test oracle the production kernel
-    /// (`CompressedLinear::matvec_scratch`) is bit-compared against
-    /// (`tests/wall.rs`, `wall_sweep`): every output sums its block columns in
-    /// the same ascending order.
+    /// (`CompressedLinear::matmul_into` and `matvec_scratch`) is bit-compared
+    /// against (`tests/wall.rs`, `wall_sweep`): every output sums its block
+    /// columns in the same ascending order.
     ///
     /// # Panics
     ///
@@ -502,57 +505,111 @@ impl BlockPermDiagMatrix {
         }
     }
 
-    /// The index-free "rotated-window" kernel: `y = W·x` from `perms` and
-    /// `values` alone, with its input buffer drawn from `scratch`.
+    /// The index-free "rotated-window" kernel: `out = W·x` for every row `x`
+    /// of `xs`, from `perms` and `values` alone, with its input buffer drawn
+    /// from `scratch`. `out` is `xs.batch() × rows`, row-major.
     ///
     /// Block `(br, bc)` contributes `q[l·p + c] · x[bc·p + (c + k_l) mod p]` to
-    /// row `c` of block row `br`. The `p` rotations of each block column's
-    /// inputs are laid out once per call as length-`p` windows of the doubled
-    /// block `[x_bc, x_bc]` ([`PdWindows`]), so each block is one contiguous
-    /// length-`p` multiply-add and no `(c + k_l) mod p` is computed at all. For
-    /// `p ∈ {2, 4, 8, 16}` the width is a const parameter and the accumulators
-    /// stay in registers; other block sizes run the same loop at run-time width.
+    /// row `c` of block row `br`. The batch runs in chunks of batch rows; the
+    /// `p` rotations of each row's block-column inputs are laid out once per
+    /// chunk as length-`p` windows of the doubled block `[x_bc, x_bc]`
+    /// ([`PdWindows`]), so each block is one contiguous length-`p` multiply-add
+    /// per row and no `(c + k_l) mod p` is computed at all.
+    ///
+    /// For `p ∈ {2, 4, 8, 16}` the width is a const parameter and the
+    /// accumulators stay in registers. A chunk is `32 / p` batch rows (halved
+    /// while fewer rows are left), and each block's `q` and `k_l` are loaded
+    /// once and multiply-added into all of the chunk's windows, the way the
+    /// paper's PE applies one fetched weight-SRAM row to the broadcast input.
+    /// A lone row runs two block rows at a time instead. Other block sizes run
+    /// row by row at run-time width.
     ///
     /// Each output starts at `+0.0` and adds its block columns in ascending
     /// order, exactly as [`matvec_reference`](Self::matvec_reference) does, so
-    /// the two are bit-identical for finite weights. Zero inputs are not
-    /// skipped, which changes no bit: an accumulator that starts at `+0.0` is
-    /// never `-0.0`, and adding `q · (±0)` leaves it as it is. Columns past
-    /// `cols` read zero padding; rows past `rows` are not written.
+    /// the two are bit-identical for finite weights, whatever the chunk. Zero
+    /// inputs are not skipped, which changes no bit: an accumulator that starts
+    /// at `+0.0` is never `-0.0`, and adding `q · (±0)` leaves it as it is.
+    /// Columns past `cols` read zero padding; rows past `rows` are not written.
     ///
-    /// The caller checks `x.len() == cols` and `y.len() == rows`.
-    pub(crate) fn matvec_windows(&self, x: &[f32], y: &mut [f32], scratch: &mut Scratch) {
-        if self.block_cols == 0 {
-            y.fill(0.0);
+    /// The caller checks `xs.dim() == cols` and `out.len() == xs.batch() · rows`.
+    pub(crate) fn matmul_windows(
+        &self,
+        xs: &BatchView<'_>,
+        out: &mut [f32],
+        scratch: &mut Scratch,
+    ) {
+        let (m, p) = (self.rows, self.p);
+        if m == 0 || self.block_cols == 0 {
+            out.fill(0.0);
             return;
         }
-        let p = self.p;
+        let nb_max = match p {
+            2 | 4 | 8 | 16 => 32 / p,
+            _ => 1,
+        };
         let PdWindows(windows) = scratch.slot::<PdWindows>();
-        windows.clear();
-        windows.resize(self.block_cols * 2 * p, 0.0);
-        for (w, xb) in windows.chunks_exact_mut(2 * p).zip(x.chunks(p)) {
-            w[..xb.len()].copy_from_slice(xb);
-            w[p..p + xb.len()].copy_from_slice(xb);
-        }
-        match p {
-            2 => self.fixed_width::<2>(windows, y),
-            4 => self.fixed_width::<4>(windows, y),
-            8 => self.fixed_width::<8>(windows, y),
-            16 => self.fixed_width::<16>(windows, y),
-            _ => self.any_width(windows, y),
+        let mut b0 = 0;
+        while b0 < xs.batch() {
+            let mut nb = nb_max;
+            while nb > xs.batch() - b0 {
+                nb /= 2;
+            }
+            windows.clear();
+            windows.resize(self.block_cols * nb * 2 * p, 0.0);
+            for b in 0..nb {
+                let row_windows = windows.chunks_exact_mut(2 * p).skip(b).step_by(nb);
+                for (w, xb) in row_windows.zip(xs.row(b0 + b).chunks(p)) {
+                    w[..xb.len()].copy_from_slice(xb);
+                    w[p..p + xb.len()].copy_from_slice(xb);
+                }
+            }
+            let chunk = &mut out[b0 * m..(b0 + nb) * m];
+            match p {
+                2 => self.fixed_width::<2>(nb, windows, chunk),
+                4 => self.fixed_width::<4>(nb, windows, chunk),
+                8 => self.fixed_width::<8>(nb, windows, chunk),
+                16 => self.fixed_width::<16>(nb, windows, chunk),
+                _ => self.any_width(windows, chunk),
+            }
+            b0 += nb;
         }
     }
 
-    /// The `[f32; P]`-accumulator path. Block rows run two at a time, which
-    /// gives the adder two independent accumulator chains; each output's own
-    /// sum order is untouched.
-    fn fixed_width<const P: usize>(&self, windows: &[f32], y: &mut [f32]) {
+    /// The `[f32; P]`-accumulator path for one chunk of `nb` batch rows.
+    fn fixed_width<const P: usize>(&self, nb: usize, windows: &[f32], out: &mut [f32]) {
+        match nb {
+            16 => self.window_tiles::<P, 16>(windows, out),
+            8 => self.window_tiles::<P, 8>(windows, out),
+            4 => self.window_tiles::<P, 4>(windows, out),
+            2 => self.window_tiles::<P, 2>(windows, out),
+            _ => self.window_row_pairs::<P>(windows, out),
+        }
+    }
+
+    /// `NB` batch rows, one block row at a time through [`window_tile`].
+    fn window_tiles<const P: usize, const NB: usize>(&self, windows: &[f32], out: &mut [f32]) {
+        let m = self.rows;
+        let q_rows = self.values.chunks_exact(self.block_cols * P);
+        let k_rows = self.perms.chunks_exact(self.block_cols);
+        for (r0, (q_row, k_row)) in (0..m).step_by(P).zip(q_rows.zip(k_rows)) {
+            let tile = window_tile::<P, NB>(q_row, k_row, windows);
+            let len = P.min(m - r0);
+            for (y, acc) in out.chunks_exact_mut(m).zip(&tile) {
+                y[r0..r0 + len].copy_from_slice(&acc[..len]);
+            }
+        }
+    }
+
+    /// A lone batch row. Block rows run two at a time, which gives the adder
+    /// two independent accumulator chains; each output's own sum order is
+    /// untouched.
+    fn window_row_pairs<const P: usize>(&self, windows: &[f32], y: &mut [f32]) {
         let q_rows = self.values.chunks_exact(self.block_cols * P);
         let k_rows = self.perms.chunks_exact(self.block_cols);
         let mut rows = q_rows.zip(k_rows).zip(y.chunks_mut(P));
         while let Some(((qa, ka), ya)) = rows.next() {
             let Some(((qb, kb), yb)) = rows.next() else {
-                let acc = window_row::<P>(qa, ka, windows);
+                let [acc] = window_tile::<P, 1>(qa, ka, windows);
                 ya.copy_from_slice(&acc[..ya.len()]);
                 break;
             };
@@ -562,8 +619,9 @@ impl BlockPermDiagMatrix {
         }
     }
 
-    /// Any other block size: the same loop at run-time width, accumulating
-    /// straight into the (at most `p`) output rows of each block row.
+    /// Any other block size, one batch row: the same loop at run-time width,
+    /// accumulating straight into the (at most `p`) output rows of each block
+    /// row.
     fn any_width(&self, windows: &[f32], y: &mut [f32]) {
         y.fill(0.0);
         let p = self.p;
@@ -584,22 +642,31 @@ impl BlockPermDiagMatrix {
     }
 }
 
-/// One block row of the fixed-width path: `q_row` and `k_row` are its stored
-/// values and permutation parameters, `windows` the doubled input blocks.
+/// One block row of the fixed-width path for `NB` batch rows: `q_row` and
+/// `k_row` are its stored values and permutation parameters, `windows` the
+/// chunk's doubled input blocks laid out `[bc][b][2P]`. Each block's `q` and
+/// `k_l` are loaded once and multiply-added into all `NB` rows' windows.
 #[inline(always)]
-fn window_row<const P: usize>(q_row: &[f32], k_row: &[u16], windows: &[f32]) -> [f32; P] {
-    let mut acc = [0.0f32; P];
+fn window_tile<const P: usize, const NB: usize>(
+    q_row: &[f32],
+    k_row: &[u16],
+    windows: &[f32],
+) -> [[f32; P]; NB] {
+    let mut tile = [[0.0f32; P]; NB];
     for ((q, &k), w) in q_row
         .chunks_exact(P)
         .zip(k_row)
-        .zip(windows.chunks_exact(2 * P))
+        .zip(windows.chunks_exact(NB * 2 * P))
     {
-        window_mac(&mut acc, q, k, w);
+        for (acc, w) in tile.iter_mut().zip(w.chunks_exact(2 * P)) {
+            window_mac(acc, q, k, w);
+        }
     }
-    acc
+    tile
 }
 
-/// Two block rows of the fixed-width path, interleaved block by block.
+/// Two block rows of the fixed-width path for a lone batch row, interleaved
+/// block by block.
 #[inline(always)]
 fn window_row_pair<const P: usize>(
     q_rows: [&[f32]; 2],

@@ -7,7 +7,7 @@
 //! [`permdnn_core::format::CompressedLinear`], so quantized layers flow through
 //! the same polymorphic surface as every other weight format.
 
-use permdnn_core::format::{CompressedLinear, FormatError};
+use permdnn_core::format::{BatchView, CompressedLinear, FormatError};
 use permdnn_core::{BlockPermDiagMatrix, Scratch};
 use rand::Rng;
 
@@ -160,9 +160,9 @@ impl CompressedLinear for SharedWeightPdMatrix {
         self.matvec_scratch(x, y, &mut Scratch::new())
     }
 
-    /// Same rotated-window kernel as the unquantized PD format, on the
-    /// caller's scratch: the LUT decode is free in the software model (values
-    /// are pre-dequantized).
+    /// Same rotated-window kernel as the unquantized PD format on a batch of
+    /// one row, on the caller's scratch: the LUT decode is free in the
+    /// software model (values are pre-dequantized).
     fn matvec_scratch(
         &self,
         x: &[f32],
@@ -170,6 +170,17 @@ impl CompressedLinear for SharedWeightPdMatrix {
         scratch: &mut Scratch,
     ) -> Result<(), FormatError> {
         self.matrix.matvec_scratch(x, y, scratch)
+    }
+
+    /// Same across-batch rotated-window kernel as the unquantized PD format,
+    /// which loads each block's values and `k_l` once per chunk of batch rows.
+    fn matmul_into(
+        &self,
+        xs: &BatchView<'_>,
+        out: &mut [f32],
+        scratch: &mut Scratch,
+    ) -> Result<(), FormatError> {
+        self.matrix.matmul_into(xs, out, scratch)
     }
 
     fn max_weight_abs(&self) -> f32 {

@@ -15,8 +15,9 @@
 //! 3. The index-free PD kernel equals the reference traversal
 //!    (`matvec_reference`, the test oracle) exactly: every block-size path,
 //!    ragged shapes, random permutations, zero and `-0.0` inputs, through
-//!    `matvec_into`, a reused scratch, the batched path and the executor.
-//!    Shared-PD and dense batches equal their own per-row matvecs.
+//!    `matvec_into`, a reused scratch, the across-batch path at every chunk
+//!    width and tail, and the executor. Shared-PD and dense batches equal
+//!    their own per-row matvecs.
 //! 4. The unrolled flat-accumulator i16 kernel equals the boxed-accumulator
 //!    reference exactly — outputs *and* datapath counters.
 //! 5. The arena-backed executor stays bit-identical to sequential execution
@@ -146,9 +147,11 @@ proptest! {
     }
 
     // 3b. The index-free PD kernel on every path it has: fixed widths
-    // p = 2, 4, 8, 16 and the run-time width (p = 1, 3, 5), ragged shapes,
-    // random permutations, inputs holding exact zeros and -0.0, and batches
-    // that cross dense's 16-row chunk. One arena is reused for every call.
+    // p = 2, 4, 8, 16 (a lone row, or a tile of up to 32 / p batch rows) and
+    // the run-time width (p = 1, 3, 5, row by row), ragged shapes, random
+    // permutations, inputs holding exact zeros and -0.0, and batches drawn
+    // across PD's and dense's chunk widths (3c runs every batch size). One
+    // arena is reused for every call.
     #[test]
     fn prop_index_free_kernels_match_reference_on_every_path(
         (rows, cols, batch, seed) in (1usize..=40, 1usize..=40, 1usize..=40, 0u64..500)
@@ -254,23 +257,60 @@ fn signed_zero_inputs(batch: usize, dim: usize, seed: u64) -> Matrix {
     m
 }
 
-// 3c. Dense's across-batch kernel against its per-row dot product at every
-// batch size through two 16-row chunks plus each smaller chunk width, with
-// one reused arena.
+// 3c. The across-batch kernels against their per-row paths at every batch
+// size from 0 through 40, so every chunk width and every tail runs: dense's
+// 16/8/4/2-row chunks against its row dot product, PD's tiles of 32 / p rows
+// (p = 2, 4, 8, 16; p = 3 runs row by row) against `matvec_reference`, and
+// shared-PD against its own `matvec_into`. One arena serves every format,
+// and the second shape has fewer rows than most block sizes.
 #[test]
-fn dense_batched_kernel_matches_rows_at_every_batch_size() {
-    let (rows, cols) = (13, 29);
-    let dense = xavier_uniform(&mut seeded_rng(0xde), rows, cols);
+fn batched_kernels_match_rows_at_every_batch_size() {
     let mut arena = Scratch::new();
-    let mut y = vec![0.0f32; rows];
-    for batch in 0..=40 {
-        let xs_mat = signed_zero_inputs(batch, cols, batch as u64);
-        let xs = BatchView::from_matrix(&xs_mat);
-        let mut out = vec![f32::NAN; batch * rows];
-        dense.matmul_into(&xs, &mut out, &mut arena).unwrap();
-        for (i, got) in out.chunks(rows).enumerate() {
-            CompressedLinear::matvec_into(&dense, xs.row(i), &mut y).unwrap();
-            assert_eq!(got, &y[..], "batch {batch} row {i}");
+    for (rows, cols) in [(13, 29), (3, 21)] {
+        let dense = xavier_uniform(&mut seeded_rng(0xde), rows, cols);
+        let pds: Vec<(BlockPermDiagMatrix, SharedWeightPdMatrix)> = [2usize, 3, 4, 8, 16]
+            .into_iter()
+            .map(|p| {
+                let w = BlockPermDiagMatrix::random_with_indexing(
+                    rows,
+                    cols,
+                    p,
+                    PermutationIndexing::Random,
+                    &mut seeded_rng(0xdf ^ p as u64),
+                );
+                let shared = SharedWeightPdMatrix::quantize_4bit(&w, &mut seeded_rng(p as u64));
+                (w, shared)
+            })
+            .collect();
+        let mut y = vec![0.0f32; rows];
+        for batch in 0..=40 {
+            let xs_mat = signed_zero_inputs(batch, cols, batch as u64);
+            let xs = BatchView::from_matrix(&xs_mat);
+            let mut out = vec![f32::NAN; batch * rows];
+            dense.matmul_into(&xs, &mut out, &mut arena).unwrap();
+            for (i, got) in out.chunks(rows).enumerate() {
+                CompressedLinear::matvec_into(&dense, xs.row(i), &mut y).unwrap();
+                assert_eq!(got, &y[..], "dense {rows}x{cols} batch {batch} row {i}");
+            }
+            for (w, shared) in &pds {
+                let p = w.p();
+                out.fill(f32::NAN);
+                w.matmul_into(&xs, &mut out, &mut arena).unwrap();
+                for (i, got) in out.chunks(rows).enumerate() {
+                    w.matvec_reference(xs.row(i), &mut y);
+                    assert_eq!(got, &y[..], "PD p={p} {rows}x{cols} batch {batch} row {i}");
+                }
+                out.fill(f32::NAN);
+                shared.matmul_into(&xs, &mut out, &mut arena).unwrap();
+                for (i, got) in out.chunks(rows).enumerate() {
+                    shared.matvec_into(xs.row(i), &mut y).unwrap();
+                    assert_eq!(
+                        got,
+                        &y[..],
+                        "shared-PD p={p} {rows}x{cols} batch {batch} row {i}"
+                    );
+                }
+            }
         }
     }
 }
