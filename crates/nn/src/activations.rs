@@ -49,14 +49,14 @@ pub fn softmax(logits: &[f32]) -> Vec<f32> {
     exps.iter().map(|&e| e / sum).collect()
 }
 
-/// Applies ReLU element-wise to a slice, returning a new vector.
-pub fn relu_vec(x: &[f32]) -> Vec<f32> {
-    x.iter().map(|&v| relu(v)).collect()
+/// Applies ReLU element-wise in place.
+pub fn relu_in_place(x: &mut [f32]) {
+    x.iter_mut().for_each(|v| *v = relu(*v));
 }
 
-/// Applies tanh element-wise to a slice, returning a new vector.
-pub fn tanh_vec(x: &[f32]) -> Vec<f32> {
-    x.iter().map(|&v| tanh(v)).collect()
+/// Applies tanh element-wise in place.
+pub fn tanh_in_place(x: &mut [f32]) {
+    x.iter_mut().for_each(|v| *v = tanh(*v));
 }
 
 #[cfg(test)]
@@ -100,8 +100,11 @@ mod tests {
 
     #[test]
     fn vector_helpers() {
-        assert_eq!(relu_vec(&[-1.0, 2.0]), vec![0.0, 2.0]);
-        assert_eq!(tanh_vec(&[0.0]), vec![0.0]);
+        let (mut r, mut t) = (vec![-1.0, 2.0], vec![0.0]);
+        relu_in_place(&mut r);
+        tanh_in_place(&mut t);
+        assert_eq!(r, vec![0.0, 2.0]);
+        assert_eq!(t, vec![0.0]);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use permdnn_core::{grad as pd_grad, BlockPermDiagMatrix};
 use permdnn_prune::eie_format::{uniform_codebook, EieEncodedMatrix};
 use permdnn_prune::{magnitude_prune, CscMatrix};
 use permdnn_quant::SharedWeightPdMatrix;
-use permdnn_runtime::ParallelExecutor;
+use permdnn_runtime::{run_stages, ParallelExecutor, RowLayer, Stage};
 use rand::Rng;
 
 use crate::activations::{relu, relu_grad, tanh, tanh_grad_from_output};
@@ -189,6 +189,34 @@ pub trait Layer: Send + Sync {
     fn as_any(&self) -> &dyn std::any::Any;
     /// Mutable upcast to `Any`.
     fn as_any_mut(&mut self) -> &mut dyn std::any::Any;
+}
+
+/// How the stage loop runs a layer it has no batched form for (one of a
+/// trainable network): row by row through [`Layer::forward`].
+impl RowLayer for Box<dyn Layer> {
+    fn row_width(&self) -> usize {
+        self.output_dim()
+    }
+
+    fn forward_row(&self, x: &[f32]) -> Vec<f32> {
+        self.forward(x)
+    }
+}
+
+/// How the stage loop runs `layers[s]`: a [`CompressedFc`] as a linear
+/// stage, [`Relu`] and [`Tanh`] as in-place activations, and any other
+/// layer row by row.
+pub(crate) fn stage(layers: &[Box<dyn Layer>], s: usize) -> Stage<'_> {
+    let any = layers[s].as_any();
+    if let Some(fc) = any.downcast_ref::<CompressedFc>() {
+        fc.stage()
+    } else if any.is::<Relu>() {
+        Stage::Activation(crate::activations::relu_in_place)
+    } else if any.is::<Tanh>() {
+        Stage::Activation(crate::activations::tanh_in_place)
+    } else {
+        Stage::Rows(&layers[s])
+    }
 }
 
 /// Fully-connected layer with dense weights and a bias vector.
@@ -752,23 +780,11 @@ impl CompressedFc {
         self.dense_cache.is_some()
     }
 
-    /// Batched forward `Y = X·Wᵀ + b`, one input per row of `xs` — the same
-    /// per-row arithmetic as [`Layer::forward`], so outputs are bit-for-bit
-    /// identical to calling `forward` row by row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::DimensionMismatch`] if `xs.dim()` differs from
-    /// the layer input width.
-    pub fn forward_batch(&self, xs: &BatchView<'_>) -> Result<Matrix, FormatError> {
-        let mut out = self.weights.matmul(xs)?;
-        self.add_bias_rows(&mut out);
-        Ok(out)
-    }
-
-    /// Batched forward sharded across the executor's worker pool. Bit-for-bit
-    /// identical to [`CompressedFc::forward_batch`] for any worker count
-    /// (row-granular sharding re-orders no floating-point operation).
+    /// Batched forward `Y = X·Wᵀ + b`, one input per row of `xs`, sharded
+    /// across the executor's worker pool: the stage loop
+    /// ([`run_stages`]) on this one layer. Bit-for-bit identical to calling
+    /// [`Layer::forward`] row by row, for any worker count (row-granular
+    /// sharding re-orders no floating-point operation).
     ///
     /// # Errors
     ///
@@ -779,16 +795,18 @@ impl CompressedFc {
         xs: &BatchView<'_>,
         exec: &ParallelExecutor,
     ) -> Result<Matrix, FormatError> {
-        let mut out = exec.matmul(&self.weights, xs)?;
-        self.add_bias_rows(&mut out);
+        let mut out = Matrix::default();
+        run_stages(xs, exec, &mut out, 1, |_| {
+            Ok::<_, FormatError>(self.stage())
+        })?;
         Ok(out)
     }
 
-    fn add_bias_rows(&self, out: &mut Matrix) {
-        for i in 0..out.rows() {
-            for (y, b) in out.row_mut(i).iter_mut().zip(self.bias.iter()) {
-                *y += b;
-            }
+    /// This layer as a linear stage of the stage loop.
+    fn stage(&self) -> Stage<'_> {
+        Stage::Linear {
+            op: self.shared_weights(),
+            bias: &self.bias,
         }
     }
 }
@@ -1108,7 +1126,9 @@ mod tests {
         layer.bias = (0..8).map(|i| 0.1 * i as f32 - 0.3).collect();
         let xs_mat = xavier_uniform(&mut seeded_rng(31), 5, 12);
         let xs = BatchView::from_matrix(&xs_mat);
-        let batch = layer.forward_batch(&xs).unwrap();
+        let batch = layer
+            .forward_batch_parallel(&xs, &ParallelExecutor::sequential())
+            .unwrap();
         let exec = ParallelExecutor::new(3);
         let parallel = layer.forward_batch_parallel(&xs, &exec).unwrap();
         assert_eq!(batch, parallel, "sharded result must be bit-for-bit equal");

@@ -8,11 +8,11 @@
 
 use pd_tensor::Matrix;
 use permdnn_core::format::{BatchView, FormatError};
-use permdnn_runtime::{BatchModel, ParallelExecutor};
+use permdnn_runtime::{run_stages, BatchModel, ParallelExecutor};
 use rand_chacha::ChaCha20Rng;
 
 use crate::data::GaussianClusters;
-use crate::layers::{make_fc_layer, CompressedFc, Dense, Layer, PdDense, Relu, WeightFormat};
+use crate::layers::{make_fc_layer, CompressedFc, Dense, Layer, PdDense, Relu, Tanh, WeightFormat};
 use crate::loss::softmax_cross_entropy;
 use crate::metrics::{argmax, Accuracy};
 
@@ -51,16 +51,11 @@ impl MlpClassifier {
         let mut current = input_dim;
         for &h in hidden_dims {
             layers.push(make_fc_layer(current, h, hidden_format, rng));
-            layers.push(Box::new(crate::layers::Relu::new(h)));
+            layers.push(Box::new(Relu::new(h)));
             current = h;
         }
         layers.push(Box::new(Dense::new(current, num_classes, rng)));
-        MlpClassifier {
-            layers,
-            input_dim,
-            num_classes,
-            hidden_format,
-        }
+        Self::from_layers(layers, input_dim, num_classes, hidden_format)
     }
 
     /// Builds a frozen serving MLP: every layer (hidden *and* head) is a
@@ -74,29 +69,10 @@ impl MlpClassifier {
         hidden_format: WeightFormat,
         rng: &mut ChaCha20Rng,
     ) -> Self {
-        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
-        let mut current = input_dim;
-        for &h in hidden_dims {
-            layers.push(Box::new(CompressedFc::build(
-                current,
-                h,
-                hidden_format,
-                rng,
-            )));
-            layers.push(Box::new(Relu::new(h)));
-            current = h;
-        }
-        layers.push(Box::new(CompressedFc::build(
-            current,
-            num_classes,
-            WeightFormat::Dense,
-            rng,
-        )));
+        let hidden: Vec<_> = hidden_dims.iter().map(|&h| (h, hidden_format)).collect();
         MlpClassifier {
-            layers,
-            input_dim,
-            num_classes,
             hidden_format,
+            ..Self::new_frozen_mixed(input_dim, &hidden, num_classes, rng)
         }
     }
 
@@ -125,12 +101,7 @@ impl MlpClassifier {
             rng,
         )));
         let hidden_format = hidden.first().map_or(WeightFormat::Dense, |&(_, f)| f);
-        MlpClassifier {
-            layers,
-            input_dim,
-            num_classes,
-            hidden_format,
-        }
+        Self::from_layers(layers, input_dim, num_classes, hidden_format)
     }
 
     /// Assembles a classifier from an explicit layer stack (used by the
@@ -203,22 +174,10 @@ impl MlpClassifier {
         argmax(&self.logits(x))
     }
 
-    /// Batched inference: the logits for every row of `xs`, bit-for-bit
-    /// identical to calling [`MlpClassifier::logits`] row by row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FormatError::DimensionMismatch`] if `xs.dim()` differs from
-    /// the input dimensionality.
-    pub fn logits_batch(&self, xs: &BatchView<'_>) -> Result<Matrix, FormatError> {
-        self.forward_batch_impl(xs, None)
-    }
-
-    /// Batched inference sharded across the executor's worker pool.
-    /// [`CompressedFc`] layers run their batch rows in parallel; other layers
-    /// (activations, trainable heads) apply row by row. Outputs are
-    /// bit-for-bit identical to [`MlpClassifier::logits_batch`] — and thus to
-    /// sequential [`MlpClassifier::logits`] — for any worker count.
+    /// Batched inference sharded across the executor's worker pool: the
+    /// stage loop of [`BatchModel::forward_batch_into`] into a new matrix.
+    /// Outputs are bit-for-bit identical to sequential
+    /// [`MlpClassifier::logits`] for any worker count.
     ///
     /// # Errors
     ///
@@ -229,38 +188,9 @@ impl MlpClassifier {
         xs: &BatchView<'_>,
         exec: &ParallelExecutor,
     ) -> Result<Matrix, FormatError> {
-        self.forward_batch_impl(xs, Some(exec))
-    }
-
-    fn forward_batch_impl(
-        &self,
-        xs: &BatchView<'_>,
-        exec: Option<&ParallelExecutor>,
-    ) -> Result<Matrix, FormatError> {
-        permdnn_core::format::check_dim("logits_batch", self.input_dim, xs.dim())?;
-        let mut current: Option<Matrix> = None;
-        for layer in &self.layers {
-            let view = match &current {
-                Some(m) => BatchView::from_matrix(m),
-                None => *xs,
-            };
-            let next = if let Some(fc) = layer.as_any().downcast_ref::<CompressedFc>() {
-                match exec {
-                    Some(exec) => fc.forward_batch_parallel(&view, exec)?,
-                    None => fc.forward_batch(&view)?,
-                }
-            } else {
-                // Activations and trainable layers: row-by-row through the
-                // same `forward` the sequential path uses.
-                let mut out = Matrix::zeros(view.batch(), layer.output_dim());
-                for i in 0..view.batch() {
-                    out.row_mut(i).copy_from_slice(&layer.forward(view.row(i)));
-                }
-                out
-            };
-            current = Some(next);
-        }
-        Ok(current.unwrap_or_else(|| Matrix::zeros(0, self.num_classes)))
+        let mut out = Matrix::default();
+        self.forward_batch_into(xs, exec, &mut out)?;
+        Ok(out)
     }
 
     /// Real multiplications one example costs through every layer on a dense
@@ -380,7 +310,7 @@ impl MlpClassifier {
             } else if any.downcast_ref::<Relu>().is_some() {
                 graph.u8(1);
                 graph.dim(layer.input_dim());
-            } else if any.downcast_ref::<crate::layers::Tanh>().is_some() {
+            } else if any.downcast_ref::<Tanh>().is_some() {
                 graph.u8(2);
                 graph.dim(layer.input_dim());
             } else {
@@ -425,70 +355,27 @@ impl MlpClassifier {
     pub(crate) fn load_snapshot(
         snap: &permdnn_core::snapshot::Snapshot,
     ) -> Result<MlpClassifier, permdnn_core::snapshot::SnapshotError> {
-        use permdnn_core::snapshot::{ByteReader, SnapshotError};
+        use crate::snapshot::{read_mlp_graph, GraphLayer};
         let codec = crate::snapshot::codec();
-        let mut g = ByteReader::new(snap.section("graph")?);
-        let input_dim = g.dim("mlp input dim")?;
-        let num_classes = g.dim("mlp class count")?;
-        let hidden_format = crate::snapshot::read_weight_format(&mut g)?;
-        let n_layers = g.dim("mlp layer count")?;
-        let mut layers: Vec<Box<dyn Layer>> = Vec::with_capacity(n_layers.min(g.remaining() + 1));
-        let mut current = input_dim;
-        for i in 0..n_layers {
-            match g.u8("mlp layer kind")? {
-                0 => {
-                    let weights = crate::snapshot::read_tensor_section(
-                        snap.section(&format!("layer{i}.weights"))?,
-                        &codec,
-                    )?;
-                    if weights.in_dim() != current {
-                        return Err(SnapshotError::Malformed {
-                            context: "mlp layer chain",
-                            reason: format!(
-                                "layer {i} consumes {} values but receives {current}",
-                                weights.in_dim()
-                            ),
-                        });
+        let mut layers: Vec<Box<dyn Layer>> = Vec::new();
+        let (input_dim, num_classes, hidden_format) = read_mlp_graph(
+            snap.section("graph")?,
+            |i| {
+                let section = snap.section(&format!("layer{i}.weights"))?;
+                Ok(((), crate::snapshot::read_tensor_section(section, &codec)?))
+            },
+            |i| Ok(snap.section(&format!("layer{i}.bias"))?.to_vec()),
+            |layer| {
+                layers.push(match layer {
+                    GraphLayer::Fc((), op, bias) => {
+                        Box::new(CompressedFc::from_shared(op).with_bias(&bias))
                     }
-                    let bias = crate::snapshot::read_bias(
-                        snap.section(&format!("layer{i}.bias"))?,
-                        weights.out_dim(),
-                    )?;
-                    current = weights.out_dim();
-                    layers.push(Box::new(
-                        CompressedFc::from_shared(weights).with_bias(&bias),
-                    ));
-                }
-                kind @ (1 | 2) => {
-                    let dim = g.dim("mlp activation dim")?;
-                    if dim != current {
-                        return Err(SnapshotError::Malformed {
-                            context: "mlp layer chain",
-                            reason: format!("activation {i} has width {dim}, expected {current}"),
-                        });
-                    }
-                    layers.push(if kind == 1 {
-                        Box::new(Relu::new(dim))
-                    } else {
-                        Box::new(crate::layers::Tanh::new(dim))
-                    });
-                }
-                other => {
-                    return Err(SnapshotError::Malformed {
-                        context: "mlp layer kind",
-                        reason: format!("unknown kind {other}"),
-                    })
-                }
-            }
-        }
-        g.expect_end("mlp graph")?;
-        if current != num_classes {
-            return Err(SnapshotError::Malformed {
-                context: "mlp layer chain",
-                reason: format!("network emits {current} values for {num_classes} classes"),
-            });
-        }
-        Ok(MlpClassifier::from_layers(
+                    GraphLayer::Relu(dim) => Box::new(Relu::new(dim)),
+                    GraphLayer::Tanh(dim) => Box::new(Tanh::new(dim)),
+                })
+            },
+        )?;
+        Ok(Self::from_layers(
             layers,
             input_dim,
             num_classes,
@@ -499,7 +386,7 @@ impl MlpClassifier {
 
 /// Any MLP is servable by the batching runtime: the model is shared across
 /// worker threads (every [`Layer`] is `Send + Sync`) and batches run through
-/// [`MlpClassifier::forward_batch_parallel`].
+/// the stage loop ([`run_stages`]).
 impl BatchModel for MlpClassifier {
     fn in_dim(&self) -> usize {
         self.input_dim
@@ -520,6 +407,20 @@ impl BatchModel for MlpClassifier {
     ) -> Result<Matrix, FormatError> {
         self.forward_batch_parallel(xs, exec)
     }
+
+    /// The stage loop ([`run_stages`]) over the layer stack; a warm frozen
+    /// MLP allocates nothing here when the executor runs the batch inline.
+    fn forward_batch_into(
+        &self,
+        xs: &BatchView<'_>,
+        exec: &ParallelExecutor,
+        out: &mut Matrix,
+    ) -> Result<(), FormatError> {
+        permdnn_core::format::check_dim("mlp forward", self.input_dim, xs.dim())?;
+        run_stages(xs, exec, out, self.layers.len(), |s| {
+            Ok::<_, FormatError>(crate::layers::stage(&self.layers, s))
+        })
+    }
 }
 
 /// Converts a trained dense MLP into a permuted-diagonal MLP by projecting every hidden
@@ -538,18 +439,14 @@ pub fn dense_mlp_to_pd(dense: &MlpClassifier, p: usize, rng: &mut ChaCha20Rng) -
             } else {
                 layers.push(Box::new(PdDense::from_dense_approximation(d, p)));
             }
-        } else if let Some(r) = any.downcast_ref::<crate::layers::Relu>() {
+        } else if let Some(r) = any.downcast_ref::<Relu>() {
             layers.push(Box::new(r.clone()));
         } else {
             panic!("dense_mlp_to_pd expects a dense MLP (Dense + Relu layers only)");
         }
     }
-    MlpClassifier {
-        layers,
-        input_dim: dense.input_dim,
-        num_classes: dense.num_classes,
-        hidden_format: WeightFormat::PermutedDiagonal { p },
-    }
+    let pd = WeightFormat::PermutedDiagonal { p };
+    MlpClassifier::from_layers(layers, dense.input_dim, dense.num_classes, pd)
 }
 
 #[cfg(test)]
@@ -647,7 +544,9 @@ mod tests {
         );
         let xs_mat = pd_tensor::init::xavier_uniform(&mut seeded_rng(21), 9, 16);
         let xs = BatchView::from_matrix(&xs_mat);
-        let sequential = model.logits_batch(&xs).unwrap();
+        let sequential = model
+            .forward_batch_parallel(&xs, &ParallelExecutor::sequential())
+            .unwrap();
         for i in 0..9 {
             assert_eq!(sequential.row(i), &model.logits(xs.row(i))[..], "row {i}");
         }
@@ -655,6 +554,53 @@ mod tests {
             let exec = ParallelExecutor::new(workers);
             let parallel = model.forward_batch_parallel(&xs, &exec).unwrap();
             assert_eq!(parallel, sequential, "workers = {workers}");
+        }
+
+        // Every batch size through one reused output, on nets whose tanh
+        // follows a biased linear layer (the fused pass: bias first, then
+        // the activation), whose first stage is an activation, and whose
+        // trainable layer runs row by row.
+        let rng = &mut seeded_rng(26);
+        let bias = |n: usize| -> Vec<f32> { (0..n).map(|j| 0.3 - 0.05 * j as f32).collect() };
+        let mixed = MlpClassifier::from_layers(
+            vec![
+                Box::new(Tanh::new(16)),
+                Box::new(
+                    CompressedFc::build(16, 24, WeightFormat::Dense, rng).with_bias(&bias(24)),
+                ),
+                Box::new(Tanh::new(24)),
+                Box::new(Dense::new(24, 12, rng)),
+                Box::new(Relu::new(12)),
+                Box::new(
+                    CompressedFc::build(12, 5, WeightFormat::PermutedDiagonal { p: 4 }, rng)
+                        .with_bias(&bias(5)),
+                ),
+            ],
+            16,
+            5,
+            WeightFormat::Dense,
+        );
+        let trainable = MlpClassifier::new(16, &[8], 5, WeightFormat::Dense, rng);
+        let bits = |v: &[f32]| -> Vec<u32> { v.iter().map(|x| x.to_bits()).collect() };
+        let xs_mat = pd_tensor::init::xavier_uniform(&mut seeded_rng(27), 40, 16);
+        for net in [&model, &mixed, &trainable] {
+            let logits: Vec<Vec<u32>> = (0..40).map(|i| bits(&net.logits(xs_mat.row(i)))).collect();
+            for workers in [1, 2, 3, 7] {
+                let exec = ParallelExecutor::new(workers);
+                let mut out = Matrix::zeros(0, 0);
+                for batch in 0..=40 {
+                    let xs = BatchView::new(&xs_mat.as_slice()[..batch * 16], batch, 16).unwrap();
+                    net.forward_batch_into(&xs, &exec, &mut out).unwrap();
+                    assert_eq!(out.shape(), (batch, 5));
+                    for (i, row) in logits.iter().enumerate().take(batch) {
+                        assert_eq!(
+                            &bits(out.row(i)),
+                            row,
+                            "workers {workers} batch {batch} row {i}"
+                        );
+                    }
+                }
+            }
         }
     }
 
@@ -691,7 +637,7 @@ mod tests {
         let data = vec![0.0f32; 6];
         let xs = BatchView::new(&data, 1, 6).unwrap();
         assert!(matches!(
-            model.logits_batch(&xs),
+            model.forward_batch_parallel(&xs, &ParallelExecutor::sequential()),
             Err(FormatError::DimensionMismatch {
                 expected: 8,
                 got: 6,

@@ -29,6 +29,7 @@ use permdnn_runtime::{
     BatchModel, ModelLoader, PagedConfig, PagedModel, PagedModelLoader, PagedStage,
 };
 
+use crate::activations::{relu_in_place, tanh_in_place};
 use crate::layers::WeightFormat;
 use crate::{FrozenConvNet, MlpClassifier};
 
@@ -115,6 +116,81 @@ pub(crate) fn read_tensor_section(
     Ok(op)
 }
 
+/// One layer of a frozen MLP's `"graph"` section: a linear layer (the
+/// loader's key `K` for its weights, the decoded operator, and its bias), or
+/// a ReLU or tanh of some width.
+pub(crate) enum GraphLayer<K> {
+    Fc(K, Arc<dyn CompressedLinear>, Vec<f32>),
+    Relu(usize),
+    Tanh(usize),
+}
+
+/// Reads a frozen MLP's `"graph"` section, the one reader behind whole and
+/// paged loads, and checks its chain: each layer against the width before
+/// it, each bias against its layer's output width, the last width against
+/// the class count. `weights(i)` decodes layer `i`'s weights under the
+/// loader's key and `bias(i)` returns its bias section; each layer goes to
+/// `layer` as soon as it is read, so a paged load never holds two decoded
+/// blocks. Returns the input width, class count and hidden format.
+pub(crate) fn read_mlp_graph<K>(
+    graph: &[u8],
+    mut weights: impl FnMut(usize) -> Result<(K, Arc<dyn CompressedLinear>), SnapshotError>,
+    mut bias: impl FnMut(usize) -> Result<Vec<u8>, SnapshotError>,
+    mut layer: impl FnMut(GraphLayer<K>),
+) -> Result<(usize, usize, WeightFormat), SnapshotError> {
+    let chain = |reason| SnapshotError::Malformed {
+        context: "mlp layer chain",
+        reason,
+    };
+    let mut g = ByteReader::new(graph);
+    let input_dim = g.dim("mlp input dim")?;
+    let num_classes = g.dim("mlp class count")?;
+    let hidden_format = read_weight_format(&mut g)?;
+    let n_layers = g.dim("mlp layer count")?;
+    let mut current = input_dim;
+    for i in 0..n_layers {
+        layer(match g.u8("mlp layer kind")? {
+            0 => {
+                let (key, op) = weights(i)?;
+                if op.in_dim() != current {
+                    return Err(chain(format!(
+                        "layer {i} consumes {} values but receives {current}",
+                        op.in_dim()
+                    )));
+                }
+                current = op.out_dim();
+                GraphLayer::Fc(key, op, read_bias(&bias(i)?, current)?)
+            }
+            kind @ (1 | 2) => {
+                let dim = g.dim("mlp activation dim")?;
+                if dim != current {
+                    return Err(chain(format!(
+                        "activation {i} has width {dim}, expected {current}"
+                    )));
+                }
+                if kind == 1 {
+                    GraphLayer::Relu(dim)
+                } else {
+                    GraphLayer::Tanh(dim)
+                }
+            }
+            other => {
+                return Err(SnapshotError::Malformed {
+                    context: "mlp layer kind",
+                    reason: format!("unknown kind {other}"),
+                })
+            }
+        });
+    }
+    g.expect_end("mlp graph")?;
+    if current != num_classes {
+        return Err(chain(format!(
+            "network emits {current} values for {num_classes} classes"
+        )));
+    }
+    Ok((input_dim, num_classes, hidden_format))
+}
+
 /// Loads any servable model snapshot — a frozen MLP ([`KIND_MLP`]) or frozen
 /// conv net ([`KIND_CONV`]) — as a boxed [`BatchModel`] ready for the serving
 /// runtime. This is the loader `permdnn_runtime::ModelRegistry` routes
@@ -178,94 +254,34 @@ pub fn load_paged_model(bytes: &[u8]) -> Result<PagedModel, SnapshotError> {
     };
     let index = read_block_index(bytes)?;
     let codec = codec();
+    // Locates a weight block and decodes it once, to validate it.
+    let block = |name: String| match index.position(&name) {
+        Some(k) => Ok((k, load_block(bytes, k, &codec)?)),
+        None => Err(SnapshotError::MissingSection { name }),
+    };
+    let linear = |k: usize, op: Arc<dyn CompressedLinear>, bias| {
+        let (n, m, muls) = (op.in_dim(), op.out_dim(), op.mul_count());
+        PagedStage::linear(k, index.blocks[k].len, n, m, muls, bias)
+    };
     match index.inner_kind {
         KIND_TENSOR => {
-            let k = index
-                .position("tensor")
-                .ok_or_else(|| SnapshotError::MissingSection {
-                    name: "tensor".to_string(),
-                })?;
-            let op = load_block(bytes, k, &codec)?;
-            PagedModel::new(vec![PagedStage::linear(
-                k,
-                index.blocks[k].len,
-                op.in_dim(),
-                op.out_dim(),
-                op.mul_count(),
-                Vec::new(),
-            )])
+            let (k, op) = block("tensor".to_string())?;
+            PagedModel::new(vec![linear(k, op, Vec::new())])
         }
         KIND_MLP => {
-            let graph = read_blocked_section(bytes, "graph")?;
-            let mut g = ByteReader::new(&graph);
-            let input_dim = g.dim("mlp input dim")?;
-            let num_classes = g.dim("mlp class count")?;
-            let _hidden_format = read_weight_format(&mut g)?;
-            let n_layers = g.dim("mlp layer count")?;
-            let mut stages = Vec::with_capacity(n_layers.min(g.remaining() + 1));
-            let mut current = input_dim;
-            for i in 0..n_layers {
-                match g.u8("mlp layer kind")? {
-                    0 => {
-                        let name = format!("layer{i}.weights");
-                        let k = index
-                            .position(&name)
-                            .ok_or(SnapshotError::MissingSection { name })?;
-                        let op = load_block(bytes, k, &codec)?;
-                        if op.in_dim() != current {
-                            return Err(SnapshotError::Malformed {
-                                context: "paged mlp layer chain",
-                                reason: format!(
-                                    "layer {i} consumes {} values but receives {current}",
-                                    op.in_dim()
-                                ),
-                            });
-                        }
-                        let bias = read_bias(
-                            &read_blocked_section(bytes, &format!("layer{i}.bias"))?,
-                            op.out_dim(),
-                        )?;
-                        current = op.out_dim();
-                        stages.push(PagedStage::linear(
-                            k,
-                            index.blocks[k].len,
-                            op.in_dim(),
-                            op.out_dim(),
-                            op.mul_count(),
-                            bias,
-                        ));
-                    }
-                    kind @ (1 | 2) => {
-                        let dim = g.dim("mlp activation dim")?;
-                        if dim != current {
-                            return Err(SnapshotError::Malformed {
-                                context: "paged mlp layer chain",
-                                reason: format!(
-                                    "activation {i} has width {dim}, expected {current}"
-                                ),
-                            });
-                        }
-                        stages.push(if kind == 1 {
-                            PagedStage::map(dim, Box::new(crate::activations::relu_vec))
-                        } else {
-                            PagedStage::map(dim, Box::new(crate::activations::tanh_vec))
-                        });
-                    }
-                    other => {
-                        return Err(SnapshotError::Malformed {
-                            context: "mlp layer kind",
-                            reason: format!("unknown kind {other}"),
-                        })
-                    }
-                }
-            }
-            g.expect_end("mlp graph")?;
-            if current != num_classes {
-                return Err(SnapshotError::Malformed {
-                    context: "paged mlp layer chain",
-                    reason: format!("network emits {current} values for {num_classes} classes"),
-                });
-            }
+            let mut stages = Vec::new();
+            read_mlp_graph(
+                &read_blocked_section(bytes, "graph")?,
+                |i| block(format!("layer{i}.weights")),
+                |i| read_blocked_section(bytes, &format!("layer{i}.bias")),
+                |layer| {
+                    stages.push(match layer {
+                        GraphLayer::Fc(k, op, bias) => linear(k, op, bias),
+                        GraphLayer::Relu(dim) => PagedStage::activation(dim, relu_in_place),
+                        GraphLayer::Tanh(dim) => PagedStage::activation(dim, tanh_in_place),
+                    })
+                },
+            )?;
             PagedModel::new(stages)
         }
         other => Err(SnapshotError::Malformed {

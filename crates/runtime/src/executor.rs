@@ -31,10 +31,11 @@ struct ShardArena {
     out: Vec<f32>,
 }
 
-fn lock_arena(arena: &Mutex<ShardArena>) -> std::sync::MutexGuard<'_, ShardArena> {
-    // A poisoned lock means some other shard panicked; its buffers are
-    // caches that every kernel fully re-initialises, so they stay usable.
-    arena.lock().unwrap_or_else(PoisonError::into_inner)
+pub(crate) fn lock<T>(buffers: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    // A poisoned lock means some other call panicked; every lock here guards
+    // reusable buffers that their users fully re-initialise, so they stay
+    // usable.
+    buffers.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
 /// Runs batched compressed-matrix products sharded across a worker pool.
@@ -68,6 +69,9 @@ pub struct ParallelExecutor {
     arenas: Arc<Vec<Mutex<ShardArena>>>,
     /// Recycled input-copy buffers for the sharded path.
     input_pool: Mutex<Vec<Vec<f32>>>,
+    /// Recycled activation buffers for the stage loop
+    /// ([`run_stages`](crate::paging::run_stages)).
+    pub(crate) stage_pool: Mutex<Vec<Matrix>>,
 }
 
 impl ParallelExecutor {
@@ -79,7 +83,8 @@ impl ParallelExecutor {
         ParallelExecutor {
             pool,
             arenas,
-            input_pool: Mutex::new(Vec::new()),
+            input_pool: Mutex::default(),
+            stage_pool: Mutex::default(),
         }
     }
 
@@ -176,9 +181,10 @@ impl ParallelExecutor {
     /// (reusing its allocation), shard outputs land in per-worker arena
     /// buffers, kernel temporaries come from each arena's [`Scratch`], and
     /// the one-off input copy cycles through an internal buffer pool; all of
-    /// these are reused across calls. A sharded call still allocates its
-    /// dispatch: the result channel, the boxed jobs, the shared `Arc`s and
-    /// the range list.
+    /// these are reused across calls. A call that runs inline (one worker, or
+    /// one batch row) allocates nothing once its buffers are warm; a sharded
+    /// call still allocates its dispatch: the result channel, the boxed jobs,
+    /// the shared `Arc`s and the range list.
     ///
     /// Bit-for-bit identical to the sequential
     /// [`CompressedLinear::matmul`] for any worker count, like `matmul`.
@@ -202,22 +208,18 @@ impl ParallelExecutor {
         if batch == 0 {
             return Ok(());
         }
-        let ranges = par_row_ranges(batch, self.workers());
-        if ranges.len() == 1 {
-            let mut arena = lock_arena(&self.arenas[0]);
+        // One shard: run inline, before building a range list.
+        if self.workers().min(batch) == 1 {
+            let mut arena = lock(&self.arenas[0]);
             return op.matmul_into(xs, out.as_mut_slice(), &mut arena.scratch);
         }
+        let ranges = par_row_ranges(batch, self.workers());
 
         // Jobs on the pool are `'static`, so the borrowed batch is copied into
         // a shared buffer once — O(batch·dim), dwarfed by the O(batch·m·n/p)
         // product it enables. The buffer itself is recycled across calls.
         let dim = xs.dim();
-        let mut input = self
-            .input_pool
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .pop()
-            .unwrap_or_default();
+        let mut input = lock(&self.input_pool).pop().unwrap_or_default();
         input.clear();
         input.reserve(batch * dim);
         for i in 0..batch {
@@ -232,7 +234,7 @@ impl ParallelExecutor {
             ranges.clone(),
             Arc::new(
                 move |idx: usize, range: Range<usize>| -> Result<Vec<f32>, FormatError> {
-                    let mut arena = lock_arena(&shard_arenas[idx]);
+                    let mut arena = lock(&shard_arenas[idx]);
                     let arena = &mut *arena;
                     let mut buf = std::mem::take(&mut arena.out);
                     buf.clear();
@@ -256,7 +258,7 @@ impl ParallelExecutor {
                         out.as_mut_slice()[range.start * out_dim..range.end * out_dim]
                             .copy_from_slice(&buf);
                     }
-                    lock_arena(&self.arenas[idx]).out = buf;
+                    lock(&self.arenas[idx]).out = buf;
                 }
                 Err(e) => {
                     if result.is_ok() {
@@ -269,10 +271,7 @@ impl ParallelExecutor {
         // `map_shards`), so the copy goes back to the pool on every call;
         // `try_unwrap` keeps the pool out of the correctness argument.
         if let Ok(input) = Arc::try_unwrap(input) {
-            self.input_pool
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .push(input);
+            lock(&self.input_pool).push(input);
         }
         result
     }

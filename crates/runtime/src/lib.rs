@@ -34,9 +34,14 @@
 //!   behind deterministic hash/rendezvous routing, row-sharded tensors
 //!   (each host loads only its slice's snapshot bytes), and layer pipelines
 //!   with modeled link latency — all serving bit-identically to one host.
+//! * [`run_stages`] — the one batched forward of a frozen MLP, whole-loaded
+//!   or paged: each linear stage is one `matmul_into` between two recycled
+//!   activation buffers, then one pass per row adds the bias and applies the
+//!   following activation in place.
 //!
-//! Consumers: `permdnn_nn` builds `forward_batch_parallel` on top of the
-//! executor, `permdnn_sim` reuses it for the multi-host engine model, and the
+//! Consumers: `permdnn_nn` runs every MLP batch forward (`forward_batch_into`
+//! and `forward_batch_parallel`) through [`run_stages`], `permdnn_sim`
+//! reuses the executor for the multi-host engine model, and the
 //! `serve_throughput` bench sweeps thread count × batch size × format into
 //! `BENCH_serve.json`.
 
@@ -56,7 +61,10 @@ pub use cluster::{
     Cluster, ClusterError, ClusterReport, ClusterTopology, HostStats, PipelineModel, RoutingPolicy,
 };
 pub use executor::ParallelExecutor;
-pub use paging::{PagedConfig, PagedModel, PagedModelLoader, PagedStage, PagingModel, RowMap};
+pub use paging::{
+    run_stages, Activation, PagedConfig, PagedModel, PagedModelLoader, PagedStage, PagingModel,
+    RowLayer, Stage,
+};
 pub use pool::WorkerPool;
 pub use registry::{
     interleave_streams, ModelLoader, ModelRegistry, ModelServeStats, MultiServeReport,

@@ -1,7 +1,7 @@
-//! Layer-granular model paging: the pieces that let a
-//! [`ModelRegistry`](crate::registry::ModelRegistry) in
-//! [`ResidencyMode::Paged`](crate::registry::ResidencyMode) serve a model
-//! whose weights never fit in memory all at once.
+//! The stage loop and layer-granular model paging.
+//!
+//! [`run_stages`] is the one batched forward of a frozen MLP, whole-loaded
+//! (`permdnn_nn::MlpClassifier`) or paged ([`PagedModel`]).
 //!
 //! A [`PagedModel`] is a *skeleton*: the full layer chain (dimensions, bias
 //! vectors, activation functions) loaded eagerly from a
@@ -9,10 +9,10 @@
 //! metadata sections, with one vacant weight **slot** per linear stage. The
 //! registry faults blocks into slots (decoding exactly one block's bytes per
 //! fault, via [`load_block`](permdnn_core::snapshot::load_block)) and
-//! evicts cold slots to stay under its byte budget; the slot's operator is
-//! executed through the *same* `exec.matmul` + bias-row arithmetic the
-//! whole-loaded model uses, so paged outputs are bit-identical to
-//! whole-loaded outputs — only the modeled ticks change, charged by the
+//! evicts cold slots to stay under its byte budget.
+//! [`PagedModel::forward_into`] runs the same stage loop with a hook that
+//! faults each stage just before it runs, so paged outputs are bit-identical
+//! to whole-loaded outputs — only the modeled ticks change, charged by the
 //! [`PagingModel`] the way pipeline hops charge `link_ticks`.
 
 use std::sync::{Arc, RwLock};
@@ -21,7 +21,7 @@ use pd_tensor::Matrix;
 use permdnn_core::format::{BatchView, CompressedLinear, FormatError};
 use permdnn_core::snapshot::{SnapshotCodec, SnapshotError};
 
-use crate::executor::ParallelExecutor;
+use crate::executor::{lock, ParallelExecutor};
 
 /// Rebuilds a [`PagedModel`] skeleton from block-streamed snapshot bytes
 /// (metadata sections only — no block payload is decoded for keeps, though a
@@ -82,30 +82,135 @@ impl PagingModel {
     }
 }
 
-/// A row-wise function replicating a whole-loaded model's non-weight layer
-/// (an activation): input row in, output row out, exactly the bits
-/// `Layer::forward` would produce.
-pub type RowMap = Box<dyn Fn(&[f32]) -> Vec<f32> + Send + Sync>;
+/// An element-wise activation, applied in place to one row.
+pub type Activation = fn(&mut [f32]);
+
+/// A layer with no batched form (one of a trainable network), which
+/// [`run_stages`] runs row by row.
+pub trait RowLayer {
+    /// Output row length.
+    fn row_width(&self) -> usize;
+    /// The output row for input row `x`.
+    fn forward_row(&self, x: &[f32]) -> Vec<f32>;
+}
+
+/// One stage of a forward chain, as [`run_stages`] runs it.
+pub enum Stage<'a> {
+    /// `y = x·Wᵀ`, then `y + b` per row. An empty bias adds nothing, which is
+    /// *not* the same as adding zeros (`-0.0 + 0.0` changes sign bits).
+    Linear {
+        /// The weight operator.
+        op: Arc<dyn CompressedLinear>,
+        /// The bias, `op.out_dim()` long, or empty.
+        bias: &'a [f32],
+    },
+    /// An element-wise activation.
+    Activation(Activation),
+    /// A layer run row by row.
+    Rows(&'a dyn RowLayer),
+}
+
+/// Runs a chain of `len` stages on a batch into `out`. `stage(s)` is called
+/// once per stage, in order, after stage `s - 1`'s matmul and before stage
+/// `s` runs, so a caller can fault stage `s`'s weights in there.
+///
+/// Stages write two ping-pong buffers, `out` and one the executor recycles,
+/// so a warm chain of linear and activation stages allocates nothing of its
+/// own. An activation after a linear stage runs in its bias pass, as the
+/// paper's PE sends each accumulated output straight through its activation
+/// unit (Fig. 7): each element gets `y + b`, then the activation, the order
+/// `Layer::forward` applies them in, so every row is bit-identical to
+/// running the layers one row at a time. An empty chain copies the input.
+///
+/// # Errors
+///
+/// Returns the first error of `stage` or of a matmul
+/// ([`FormatError::DimensionMismatch`] for a mis-sized batch).
+pub fn run_stages<'a, E: From<FormatError>>(
+    xs: &BatchView<'_>,
+    exec: &ParallelExecutor,
+    out: &mut Matrix,
+    len: usize,
+    mut stage: impl FnMut(usize) -> Result<Stage<'a>, E>,
+) -> Result<(), E> {
+    // Each stage reads `bufs[1]` (`xs` for the first) and writes `bufs[0]`,
+    // and then the two swap.
+    let spare = lock(&exec.stage_pool).pop().unwrap_or_default();
+    let mut bufs = [spare, std::mem::take(out)];
+    if len == 0 {
+        map_rows(xs, &mut bufs[1], |_| {});
+    }
+    let (mut s, mut pending) = (0, None);
+    while s < len {
+        let this = pending.take().map_or_else(|| stage(s), Ok)?;
+        let [dst, cur] = &mut bufs;
+        let src = if s == 0 {
+            *xs
+        } else {
+            BatchView::from_matrix(cur)
+        };
+        s += 1;
+        match this {
+            Stage::Linear { op, bias } => {
+                exec.matmul_into(&op, &src, dst)?;
+                // Fuse a following activation into the bias pass.
+                let activation: Activation = match (s < len).then(|| stage(s)).transpose()? {
+                    Some(Stage::Activation(f)) => {
+                        s += 1;
+                        f
+                    }
+                    next => {
+                        pending = next;
+                        |_| {}
+                    }
+                };
+                for i in 0..dst.rows() {
+                    let row = dst.row_mut(i);
+                    row.iter_mut().zip(bias).for_each(|(y, b)| *y += b);
+                    activation(row);
+                }
+            }
+            Stage::Activation(f) => map_rows(&src, dst, f),
+            Stage::Rows(layer) => {
+                dst.resize(src.batch(), layer.row_width());
+                for i in 0..src.batch() {
+                    dst.row_mut(i)
+                        .copy_from_slice(&layer.forward_row(src.row(i)));
+                }
+            }
+        }
+        bufs.swap(0, 1);
+    }
+    let [spare, result] = bufs;
+    *out = result;
+    lock(&exec.stage_pool).push(spare);
+    Ok(())
+}
+
+/// Copies `src` into `out` and applies `f` to each row.
+fn map_rows(src: &BatchView<'_>, out: &mut Matrix, f: Activation) {
+    out.resize(src.batch(), src.dim());
+    for i in 0..src.batch() {
+        let row = out.row_mut(i);
+        row.copy_from_slice(src.row(i));
+        f(row);
+    }
+}
 
 enum StageKind {
-    /// A weight stage backed by block `block` of the container: `y = x·Wᵀ
-    /// (+ b)`, with the operator paged in and out of `slot`.
+    /// A weight stage backed by block `block` of the container, with the
+    /// operator paged in and out of `slot`. Runs as [`Stage::Linear`].
     Linear {
         block: usize,
         bytes: u64,
         in_dim: usize,
         out_dim: usize,
         mul_count: u64,
-        /// Added row-wise after the matmul when non-empty — the same loop as
-        /// `CompressedFc::forward_batch_parallel`. Empty means the
-        /// whole-loaded form has no bias step at all (bare tensors served
-        /// through `SingleLayerModel`), which is *not* the same as adding a
-        /// zero bias (`-0.0 + 0.0` changes sign bits).
         bias: Vec<f32>,
         slot: RwLock<Option<Arc<dyn CompressedLinear>>>,
     },
-    /// A resident (never paged) row-wise stage: activations.
-    Map { dim: usize, apply: RowMap },
+    /// A resident (never paged) element-wise activation.
+    Activation { dim: usize, apply: Activation },
 }
 
 /// One stage of a [`PagedModel`]'s layer chain.
@@ -139,10 +244,10 @@ impl PagedStage {
         }
     }
 
-    /// A resident row-wise stage of width `dim` (activations).
-    pub fn map(dim: usize, apply: RowMap) -> Self {
+    /// A resident element-wise activation of width `dim`.
+    pub fn activation(dim: usize, apply: Activation) -> Self {
         PagedStage {
-            kind: StageKind::Map { dim, apply },
+            kind: StageKind::Activation { dim, apply },
         }
     }
 
@@ -151,28 +256,25 @@ impl PagedStage {
             StageKind::Linear {
                 in_dim, out_dim, ..
             } => (*in_dim, *out_dim),
-            StageKind::Map { dim, .. } => (*dim, *dim),
+            StageKind::Activation { dim, .. } => (*dim, *dim),
+        }
+    }
+
+    /// The `(block, bytes)` this stage pages, or `None` for activations.
+    fn block(&self) -> Option<(usize, u64)> {
+        match &self.kind {
+            StageKind::Linear { block, bytes, .. } => Some((*block, *bytes)),
+            StageKind::Activation { .. } => None,
         }
     }
 }
 
 impl std::fmt::Debug for PagedStage {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match &self.kind {
-            StageKind::Linear {
-                block,
-                bytes,
-                in_dim,
-                out_dim,
-                ..
-            } => f
-                .debug_struct("Linear")
-                .field("block", block)
-                .field("bytes", bytes)
-                .field("dims", &(in_dim, out_dim))
-                .finish(),
-            StageKind::Map { dim, .. } => f.debug_struct("Map").field("dim", dim).finish(),
-        }
+        f.debug_struct("PagedStage")
+            .field("block", &self.block())
+            .field("dims", &self.dims())
+            .finish()
     }
 }
 
@@ -239,7 +341,7 @@ impl PagedModel {
                         reason: format!("stage {s} re-uses block {block}"),
                     });
                 }
-                mul_count += muls;
+                mul_count = mul_count.saturating_add(*muls);
             }
         }
         Ok(PagedModel {
@@ -263,7 +365,8 @@ impl PagedModel {
     /// Multiplies one example costs through every stage — the sum of the
     /// linear stages' counts (activations are mul-free), which equals the
     /// whole-loaded model's `mul_count_per_example`, so admission and batch
-    /// ordering decisions are identical in both residency modes.
+    /// ordering decisions are identical in both residency modes. Saturates
+    /// at `u64::MAX`.
     pub fn mul_count_per_example(&self) -> u64 {
         self.mul_count
     }
@@ -275,24 +378,27 @@ impl PagedModel {
 
     /// The `(block, bytes)` stage `s` pages, or `None` for resident stages.
     pub fn stage_block(&self, s: usize) -> Option<(usize, u64)> {
-        match &self.stages[s].kind {
-            StageKind::Linear { block, bytes, .. } => Some((*block, *bytes)),
-            StageKind::Map { .. } => None,
-        }
+        self.stages[s].block()
     }
 
-    /// Whether stage `s`'s weights are currently installed. Resident (map)
+    /// Whether stage `s`'s weights are currently installed. Activation
     /// stages always are.
     pub fn is_stage_resident(&self, s: usize) -> bool {
         match &self.stages[s].kind {
             StageKind::Linear { slot, .. } => slot.read().expect("slot lock").is_some(),
-            StageKind::Map { .. } => true,
+            StageKind::Activation { .. } => true,
         }
+    }
+
+    /// The weight stages whose operators are installed, in stage order.
+    pub fn resident_stages(&self) -> impl Iterator<Item = usize> + '_ {
+        (0..self.stages.len())
+            .filter(|&s| self.stage_block(s).is_some() && self.is_stage_resident(s))
     }
 
     /// Whether any weight slot is installed.
     pub fn any_resident(&self) -> bool {
-        (0..self.stages.len()).any(|s| self.stage_block(s).is_some() && self.is_stage_resident(s))
+        self.resident_stages().next().is_some()
     }
 
     /// Installs a decoded operator into stage `s`'s slot.
@@ -323,79 +429,64 @@ impl PagedModel {
                 *slot.write().expect("slot lock") = Some(op);
                 Ok(())
             }
-            StageKind::Map { .. } => Err(SnapshotError::Malformed {
+            StageKind::Activation { .. } => Err(SnapshotError::Malformed {
                 context: "paged install",
-                reason: format!("stage {s} is a resident map stage, not a weight slot"),
+                reason: format!("stage {s} is a resident activation, not a weight slot"),
             }),
         }
     }
 
     /// Drops stage `s`'s installed operator, returning whether it was
-    /// resident. Resident (map) stages are never evictable.
+    /// resident. Activation stages are never evictable.
     pub fn evict_stage(&self, s: usize) -> bool {
         match &self.stages[s].kind {
             StageKind::Linear { slot, .. } => slot.write().expect("slot lock").take().is_some(),
-            StageKind::Map { .. } => false,
+            StageKind::Activation { .. } => false,
         }
     }
 
     /// Drops every installed operator, returning the block bytes freed.
     pub fn evict_all(&self) -> u64 {
-        let mut freed = 0;
-        for s in 0..self.stages.len() {
-            if let Some((_, bytes)) = self.stage_block(s) {
-                if self.evict_stage(s) {
-                    freed += bytes;
-                }
-            }
-        }
-        freed
+        (0..self.stages.len())
+            .filter(|&s| self.evict_stage(s))
+            .filter_map(|s| self.stage_block(s))
+            .map(|(_, bytes)| bytes)
+            .sum()
     }
 
-    /// Runs stage `s` on a batch, producing the next activation matrix with
-    /// exactly the whole-loaded model's arithmetic: linear stages run
-    /// `exec.matmul` then the bias-row loop, map stages apply row by row.
+    /// Runs a batch through the stage loop ([`run_stages`]), calling
+    /// `fault(s)` just before stage `s` runs so the caller can install its
+    /// weights. Outputs are the whole-loaded model's, bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::Format`] if the stage's weights are not
-    /// installed (a registry sequencing bug, not a data error), or the
-    /// executor's error for a mis-sized batch.
-    pub fn run_stage(
+    /// Returns [`FormatError::DimensionMismatch`] for a mis-sized batch,
+    /// `fault`'s error, or [`FormatError::Format`] if a linear stage runs
+    /// while its weights are not installed (a registry sequencing bug, not a
+    /// data error).
+    pub fn forward_into<E: From<FormatError>>(
         &self,
-        s: usize,
         xs: &BatchView<'_>,
         exec: &ParallelExecutor,
-    ) -> Result<Matrix, FormatError> {
-        match &self.stages[s].kind {
-            StageKind::Linear { bias, slot, .. } => {
-                let op = slot
-                    .read()
-                    .expect("slot lock")
-                    .as_ref()
-                    .cloned()
-                    .ok_or_else(|| FormatError::Format {
-                        format: "paged",
-                        reason: format!("stage {s} executed while its block is not resident"),
-                    })?;
-                let mut out = exec.matmul(&op, xs)?;
-                if !bias.is_empty() {
-                    for i in 0..out.rows() {
-                        for (y, b) in out.row_mut(i).iter_mut().zip(bias.iter()) {
-                            *y += b;
+        out: &mut Matrix,
+        mut fault: impl FnMut(usize) -> Result<(), E>,
+    ) -> Result<(), E> {
+        permdnn_core::format::check_dim("paged forward", self.in_dim, xs.dim())?;
+        run_stages(xs, exec, out, self.stages.len(), |s| {
+            fault(s)?;
+            Ok(match &self.stages[s].kind {
+                StageKind::Linear { bias, slot, .. } => Stage::Linear {
+                    op: slot.read().expect("slot lock").clone().ok_or_else(|| {
+                        FormatError::Format {
+                            format: "paged",
+                            reason: format!("stage {s} executed while its block is not resident"),
                         }
-                    }
-                }
-                Ok(out)
-            }
-            StageKind::Map { dim, apply } => {
-                let mut out = Matrix::zeros(xs.batch(), *dim);
-                for i in 0..xs.batch() {
-                    out.row_mut(i).copy_from_slice(&apply(xs.row(i)));
-                }
-                Ok(out)
-            }
-        }
+                    })?,
+                    bias,
+                },
+                StageKind::Activation { apply, .. } => Stage::Activation(*apply),
+            })
+        })
     }
 }
 
@@ -433,7 +524,7 @@ mod tests {
         .is_err());
         let ok = PagedModel::new(vec![
             PagedStage::linear(0, 10, 8, 16, 128, vec![0.5; 16]),
-            PagedStage::map(16, Box::new(|x| x.to_vec())),
+            PagedStage::activation(16, |_| {}),
             PagedStage::linear(1, 10, 16, 4, 64, vec![]),
         ])
         .unwrap();
@@ -441,6 +532,13 @@ mod tests {
         assert_eq!(ok.mul_count_per_example(), 192);
         assert_eq!(ok.stage_block(1), None);
         assert_eq!(ok.stage_block(2), Some((1, 10)));
+        // The multiply sum saturates instead of wrapping to a free model.
+        let huge = PagedModel::new(vec![
+            PagedStage::linear(0, 10, 8, 8, u64::MAX, vec![]),
+            PagedStage::linear(1, 10, 8, 8, 1, vec![]),
+        ])
+        .unwrap();
+        assert_eq!(huge.mul_count_per_example(), u64::MAX);
     }
 
     #[test]
@@ -459,11 +557,13 @@ mod tests {
         let exec = ParallelExecutor::sequential();
         let x: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
         let xs = BatchView::new(&x, 1, 8).unwrap();
+        let mut out = Matrix::zeros(0, 0);
+        let resident = |_| Ok::<(), FormatError>(());
         // Vacant slot is a typed error, never a panic.
-        assert!(model.run_stage(0, &xs, &exec).is_err());
+        assert!(model.forward_into(&xs, &exec, &mut out, resident).is_err());
         model.install(0, Arc::clone(&op)).unwrap();
         assert!(model.is_stage_resident(0) && model.any_resident());
-        let out = model.run_stage(0, &xs, &exec).unwrap();
+        model.forward_into(&xs, &exec, &mut out, resident).unwrap();
         assert_eq!(out.row(0), &op.matvec(&x).unwrap()[..]);
         assert_eq!(model.evict_all(), 99);
         assert!(!model.any_resident());

@@ -726,11 +726,7 @@ impl ModelRegistry {
     /// whole-loaded ids.
     pub fn resident_blocks(&self, id: &str) -> Option<usize> {
         match &self.entries.get(id)?.residency {
-            Residency::Paged { model, .. } => Some(
-                (0..model.stages())
-                    .filter(|&s| model.stage_block(s).is_some() && model.is_stage_resident(s))
-                    .count(),
-            ),
+            Residency::Paged { model, .. } => Some(model.resident_stages().count()),
             Residency::Whole(_) => None,
         }
     }
@@ -829,8 +825,8 @@ impl ModelRegistry {
                 Residency::Whole(Some(_)) if Some(id.as_str()) != keep => {
                     vec![(e.last_used, id.clone(), None)]
                 }
-                Residency::Paged { model, stamps } => (0..model.stages())
-                    .filter(|&s| model.stage_block(s).is_some() && model.is_stage_resident(s))
+                Residency::Paged { model, stamps } => model
+                    .resident_stages()
                     .map(|s| (stamps[s], id.clone(), Some(s)))
                     .collect(),
                 _ => Vec::new(),
@@ -897,35 +893,23 @@ impl ModelRegistry {
             return Ok(0);
         };
         self.clock += 1;
-        let clock = self.clock;
+        let mut ticks = 0;
         if !model.is_stage_resident(s) {
             self.make_room_for(bytes);
-            let (op, ticks) = {
-                let paged = self.paged.as_ref().expect("paged entries imply paged mode");
-                (
-                    load_block(&snapshot, block, &paged.codec)?,
-                    paged.paging.fault_ticks(bytes),
-                )
-            };
-            model.install(s, op)?;
+            let paged = self.paged.as_ref().expect("paged entries imply paged mode");
+            model.install(s, load_block(&snapshot, block, &paged.codec)?)?;
+            ticks = paged.paging.fault_ticks(bytes);
             self.loaded_bytes += bytes;
             self.note_peak();
             self.stats.blocks_faulted += 1;
             self.stats.bytes_faulted += bytes;
-            self.stamp_stage(id, s, clock);
-            return Ok(ticks);
         }
-        self.stamp_stage(id, s, clock);
-        Ok(0)
-    }
-
-    /// Records stage `s`'s LRU stamp.
-    fn stamp_stage(&mut self, id: &str, s: usize, clock: u64) {
-        if let Some(entry) = self.entries.get_mut(id) {
-            if let Residency::Paged { stamps, .. } = &mut entry.residency {
-                stamps[s] = clock;
-            }
+        if let Some(Residency::Paged { stamps, .. }) =
+            self.entries.get_mut(id).map(|e| &mut e.residency)
+        {
+            stamps[s] = self.clock;
         }
+        Ok(ticks)
     }
 
     /// The deterministic prefetch hook: pages `id`'s weight blocks in stage
@@ -955,10 +939,9 @@ impl ModelRegistry {
 
     /// Runs one batch through a paged model, demand-faulting each stage just
     /// before it executes, and writes the batch outputs into `outputs`.
-    /// Returns the total demand-fault ticks. The arithmetic per stage is
-    /// exactly the whole-loaded model's (`exec.matmul` + bias rows, or the
-    /// row-wise activation), so outputs are independent of residency
-    /// history.
+    /// Returns the total demand-fault ticks. The stage loop is the
+    /// whole-loaded model's ([`crate::paging::run_stages`]), so outputs are
+    /// independent of residency history.
     fn paged_forward(
         &mut self,
         id: &str,
@@ -980,20 +963,12 @@ impl ModelRegistry {
             };
             Arc::clone(model)
         };
+        let xs = BatchView::new(input, batch, model.in_dim())?;
         let mut fault_ticks = 0u64;
-        let mut current: Option<Matrix> = None;
-        for s in 0..model.stages() {
+        model.forward_into(&xs, exec, outputs, |s| {
             fault_ticks = fault_ticks.saturating_add(self.fault_stage(id, s)?);
-            let next = match &current {
-                Some(m) => model.run_stage(s, &BatchView::from_matrix(m), exec)?,
-                None => {
-                    let xs = BatchView::new(input, batch, model.in_dim())?;
-                    model.run_stage(s, &xs, exec)?
-                }
-            };
-            current = Some(next);
-        }
-        *outputs = current.expect("paged models have at least one stage");
+            Ok::<(), RegistryError>(())
+        })?;
         Ok(fault_ticks)
     }
 

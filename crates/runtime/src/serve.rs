@@ -326,8 +326,9 @@ pub trait BatchModel: Send + Sync {
     /// Batched forward pass into a caller-owned output matrix, letting serve
     /// loops reuse one allocation across batches. The default delegates to
     /// [`forward_batch`](Self::forward_batch) and moves the result into
-    /// `out`; implementations that can write into `out` directly (e.g.
-    /// [`SingleLayerModel`]) override it.
+    /// `out`; implementations that can write into `out` directly override
+    /// it: [`SingleLayerModel`], and `permdnn_nn::MlpClassifier`, whose
+    /// override is the stage loop ([`run_stages`](crate::paging::run_stages)).
     ///
     /// # Errors
     ///

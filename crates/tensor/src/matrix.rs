@@ -17,7 +17,7 @@ use crate::ShapeError;
 /// assert_eq!(m[(1, 2)], 5.0);
 /// assert_eq!(m.transpose()[(2, 1)], 5.0);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct Matrix {
     rows: usize,
     cols: usize,
