@@ -9,7 +9,8 @@
 //! 2. **What does multi-model serving cost?** Load every snapshot into a
 //!    `ModelRegistry` and serve one interleaved heterogeneous stream at 1, 2
 //!    and 4 workers (modeled ticks, 1 tick = 1 µs), then repeat with a weight
-//!    cache squeezed to ~2 resident models to count LRU evictions/reloads —
+//!    cache squeezed to ~2 resident models to count evictions/reloads (each
+//!    call evicts the model its schedule needs farthest ahead) —
 //!    verifying the cache changes *when* bytes are materialised, never what
 //!    is served.
 //!

@@ -25,7 +25,7 @@
 //! batch 1 (one single-row call per input).
 //!
 //! Every pair is asserted **bit-identical** before timing, and the binary
-//! then asserts each point's speedup floor: circulant ≥ 3x, pd_f32 and q16 ≥
+//! then asserts each point's speedup floor: circulant ≥ 4x, pd_f32 and q16 ≥
 //! 1.2x, PD over dense ≥ 4x (p=8) and ≥ 2x (p=4) at batch 32 and ≥ 3x (p=4)
 //! at batch 1, and PD over CSC ≥ 4x at batch 32 and ≥ 2x at batch 1. Both
 //! sides of a point are timed in alternation and the speedup is the median
@@ -198,7 +198,7 @@ fn circulant_point(n: usize, batch: usize, reps: usize) -> WallPoint {
         optimized_us,
         reference_us,
         speedup,
-        floor: 3.0,
+        floor: 4.0,
     }
 }
 

@@ -8,7 +8,7 @@
 
 use pd_tensor::Matrix;
 
-use crate::block::{BlockCirculantMatrix, CirculantBlock, CirculantError};
+use crate::block::{BlockCirculantMatrix, CirculantError};
 
 /// Result of a block-circulant approximation.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,13 +38,11 @@ pub fn circulant_approximate(
     let (rows, cols) = dense.shape();
     let block_rows = rows.div_ceil(k);
     let block_cols = cols.div_ceil(k);
-    let mut blocks = Vec::with_capacity(block_rows * block_cols);
-    for br in 0..block_rows {
-        for bc in 0..block_cols {
-            blocks.push(project_block(dense, br, bc, k));
-        }
+    let mut first_rows = vec![0.0f32; block_rows * block_cols * k];
+    for (l, first_row) in first_rows.chunks_exact_mut(k).enumerate() {
+        project_block(dense, l / block_cols, l % block_cols, first_row);
     }
-    let matrix = BlockCirculantMatrix::new(rows, cols, k, blocks)?;
+    let matrix = BlockCirculantMatrix::new(rows, cols, k, first_rows)?;
     let approx = matrix.to_dense();
     let diff = dense.sub(&approx).expect("shapes match");
     let denom = dense.frobenius_norm() as f64;
@@ -59,10 +57,11 @@ pub fn circulant_approximate(
     })
 }
 
-/// Projects one `k × k` block: first-row entry `d` is the mean of the dense entries on the
-/// wrapped diagonal `(i, (i + d) mod k)` that fall inside the matrix.
-fn project_block(dense: &Matrix, br: usize, bc: usize, k: usize) -> CirculantBlock {
-    let mut first_row = vec![0.0f32; k];
+/// Projects one `k × k` block into its first row (`k = first_row.len()`): entry `d` is the
+/// mean of the dense entries on the wrapped diagonal `(i, (i + d) mod k)` that fall inside
+/// the matrix.
+fn project_block(dense: &Matrix, br: usize, bc: usize, first_row: &mut [f32]) {
+    let k = first_row.len();
     for (d, slot) in first_row.iter_mut().enumerate() {
         let mut sum = 0.0f64;
         let mut count = 0usize;
@@ -80,7 +79,6 @@ fn project_block(dense: &Matrix, br: usize, bc: usize, k: usize) -> CirculantBlo
             (sum / count as f64) as f32
         };
     }
-    CirculantBlock::new(first_row).expect("k > 0")
 }
 
 #[cfg(test)]
@@ -105,15 +103,9 @@ mod tests {
         let approx = circulant_approximate(&dense, 4).unwrap();
         let base_err = approx.relative_error;
         for d in 0..4 {
-            let mut perturbed_rows = approx.matrix.block(0, 0).first_row().to_vec();
+            let mut perturbed_rows = approx.matrix.block(0, 0).to_vec();
             perturbed_rows[d] += 0.05;
-            let perturbed = BlockCirculantMatrix::new(
-                4,
-                4,
-                4,
-                vec![CirculantBlock::new(perturbed_rows).unwrap()],
-            )
-            .unwrap();
+            let perturbed = BlockCirculantMatrix::new(4, 4, 4, perturbed_rows).unwrap();
             let diff = dense.sub(&perturbed.to_dense()).unwrap();
             let err = diff.frobenius_norm() as f64 / dense.frobenius_norm() as f64;
             assert!(err >= base_err - 1e-9, "projection should be l2-optimal");

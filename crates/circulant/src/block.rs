@@ -27,11 +27,11 @@ pub enum CirculantError {
         /// Supplied length.
         got: usize,
     },
-    /// The number of supplied first rows did not match the number of blocks.
+    /// The supplied first rows did not hold `k` values for every block.
     BlockCountMismatch {
-        /// Number supplied.
+        /// First-row values supplied.
         got: usize,
-        /// Number expected.
+        /// First-row values expected (`k` per block).
         expected: usize,
     },
 }
@@ -50,7 +50,10 @@ impl std::fmt::Display for CirculantError {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
             CirculantError::BlockCountMismatch { got, expected } => {
-                write!(f, "expected {expected} circulant blocks, got {got}")
+                write!(
+                    f,
+                    "expected {expected} circulant first-row values (k per block), got {got}"
+                )
             }
         }
     }
@@ -58,86 +61,23 @@ impl std::fmt::Display for CirculantError {
 
 impl std::error::Error for CirculantError {}
 
-/// A single `k × k` circulant block, defined by its first row `w`: entry `(i, j)` is
-/// `w[(j - i) mod k]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct CirculantBlock {
-    first_row: Vec<f32>,
-}
-
-impl CirculantBlock {
-    /// Creates a circulant block from its first row.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`CirculantError::ZeroBlockSize`] if the row is empty.
-    pub fn new(first_row: Vec<f32>) -> Result<Self, CirculantError> {
-        if first_row.is_empty() {
-            return Err(CirculantError::ZeroBlockSize);
+/// Direct product of one `k × k` circulant block (first row `first_row`:
+/// entry `(i, j)` is `first_row[(j - i) mod k]`) against a *ragged-edge* tile,
+/// accumulating into `y`: `x` and `y` may be shorter than `k` (the logical
+/// matrix's last block column/row). Equivalent to zero-padding `x` to length
+/// `k` and discarding outputs past `y.len()`, without materialising either —
+/// padded columns contribute only `±0.0` products at the tail of each row's
+/// accumulation, which never change a running sum that started at `+0.0`, so
+/// results are bit-identical to the pad-and-truncate formulation.
+fn accumulate_partial(first_row: &[f32], x: &[f32], y: &mut [f32]) {
+    let k = first_row.len();
+    debug_assert!(x.len() <= k && y.len() <= k);
+    for (i, out) in y.iter_mut().enumerate() {
+        let mut acc = 0.0f32;
+        for (j, xj) in x.iter().enumerate() {
+            acc += first_row[(j + k - i) % k] * xj;
         }
-        Ok(CirculantBlock { first_row })
-    }
-
-    /// Block size `k`.
-    pub fn k(&self) -> usize {
-        self.first_row.len()
-    }
-
-    /// The stored first row.
-    pub fn first_row(&self) -> &[f32] {
-        &self.first_row
-    }
-
-    /// Entry `(i, j)` of the dense block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `i` or `j` is out of range.
-    pub fn entry(&self, i: usize, j: usize) -> f32 {
-        let k = self.k();
-        assert!(i < k && j < k, "index out of bounds");
-        self.first_row[(j + k - i % k) % k]
-    }
-
-    /// Expands into a dense matrix.
-    pub fn to_dense(&self) -> Matrix {
-        let k = self.k();
-        Matrix::from_fn(k, k, |i, j| self.entry(i, j))
-    }
-
-    /// Direct (time-domain) product with a length-`k` vector, accumulating into `y`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() != k` or `y.len() != k`.
-    pub fn matvec_accumulate_direct(&self, x: &[f32], y: &mut [f32]) {
-        let k = self.k();
-        assert_eq!(x.len(), k);
-        assert_eq!(y.len(), k);
-        self.matvec_accumulate_partial(x, y);
-    }
-
-    /// Direct product against a *ragged-edge* tile: `x` and `y` may be shorter
-    /// than `k` (the logical matrix's last block column/row). Equivalent to
-    /// zero-padding `x` to length `k` and discarding outputs past `y.len()`,
-    /// without materialising either — padded columns contribute only `±0.0`
-    /// products at the tail of each row's accumulation, which never change a
-    /// running sum that started at `+0.0`, so results are bit-identical to the
-    /// pad-and-truncate formulation.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `x.len() > k` or `y.len() > k`.
-    pub fn matvec_accumulate_partial(&self, x: &[f32], y: &mut [f32]) {
-        let k = self.k();
-        assert!(x.len() <= k && y.len() <= k);
-        for (i, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (j, xj) in x.iter().enumerate() {
-                acc += self.entry(i, j) * xj;
-            }
-            *out += acc;
-        }
+        *out += acc;
     }
 }
 
@@ -163,8 +103,9 @@ pub struct BlockCirculantMatrix {
     k: usize,
     block_rows: usize,
     block_cols: usize,
-    /// First rows, indexed by block `l = block_row * block_cols + block_col`.
-    blocks: Vec<CirculantBlock>,
+    /// Every block's first row, `k` values per block, block-row-major: block
+    /// `l = block_row * block_cols + block_col` is `first_rows[l·k..(l+1)·k]`.
+    first_rows: Vec<f32>,
     /// Shared FFT plan for block size `k`; `None` when `k` is not a power of
     /// two (direct kernel only). Derived from `k`, rebuilt on construction
     /// and snapshot decode — never persisted.
@@ -184,12 +125,13 @@ impl PartialEq for BlockCirculantMatrix {
         self.rows == other.rows
             && self.cols == other.cols
             && self.k == other.k
-            && self.blocks == other.blocks
+            && self.first_rows == other.first_rows
     }
 }
 
 impl BlockCirculantMatrix {
-    /// Creates a block-circulant matrix from per-block first rows.
+    /// Creates a block-circulant matrix from its blocks' first rows: `k`
+    /// values per block, block-row-major.
     ///
     /// The FFT kernel requires `k` to be a power of two, mirroring the hardware
     /// restriction the paper criticises; use [`Self::new_any_size`] to build non-2ᵗ blocks
@@ -203,7 +145,7 @@ impl BlockCirculantMatrix {
         rows: usize,
         cols: usize,
         k: usize,
-        blocks: Vec<CirculantBlock>,
+        first_rows: Vec<f32>,
     ) -> Result<Self, CirculantError> {
         if k == 0 {
             return Err(CirculantError::ZeroBlockSize);
@@ -211,7 +153,7 @@ impl BlockCirculantMatrix {
         if !k.is_power_of_two() {
             return Err(CirculantError::NonPowerOfTwo { k });
         }
-        Self::new_any_size(rows, cols, k, blocks)
+        Self::new_any_size(rows, cols, k, first_rows)
     }
 
     /// Creates a block-circulant matrix without the power-of-two restriction (software
@@ -225,17 +167,20 @@ impl BlockCirculantMatrix {
         rows: usize,
         cols: usize,
         k: usize,
-        blocks: Vec<CirculantBlock>,
+        first_rows: Vec<f32>,
     ) -> Result<Self, CirculantError> {
         if k == 0 {
             return Err(CirculantError::ZeroBlockSize);
         }
         let block_rows = rows.div_ceil(k);
         let block_cols = cols.div_ceil(k);
-        if blocks.len() != block_rows * block_cols {
+        let expected = block_rows
+            .checked_mul(block_cols)
+            .and_then(|blocks| blocks.checked_mul(k));
+        if expected != Some(first_rows.len()) {
             return Err(CirculantError::BlockCountMismatch {
-                got: blocks.len(),
-                expected: block_rows * block_cols,
+                got: first_rows.len(),
+                expected: expected.unwrap_or(usize::MAX),
             });
         }
         // Weights are frozen at inference time: build the FFT plan and the
@@ -245,9 +190,9 @@ impl BlockCirculantMatrix {
         // without any change to the on-disk format.
         let (plan, spectra) = if k.is_power_of_two() {
             let plan = Arc::new(FftPlan::new(k));
-            let mut spectra = vec![Complex::ZERO; blocks.len() * k];
-            for (block, out) in blocks.iter().zip(spectra.chunks_mut(k)) {
-                plan.forward_real_padded(block.first_row(), out);
+            let mut spectra = vec![Complex::ZERO; first_rows.len()];
+            for (row, out) in first_rows.chunks_exact(k).zip(spectra.chunks_exact_mut(k)) {
+                plan.forward_real_padded(row, out);
             }
             (Some(plan), spectra)
         } else {
@@ -259,7 +204,7 @@ impl BlockCirculantMatrix {
             k,
             block_rows,
             block_cols,
-            blocks,
+            first_rows,
             plan,
             spectra,
         })
@@ -290,13 +235,10 @@ impl BlockCirculantMatrix {
         let block_rows = rows.div_ceil(k);
         let block_cols = cols.div_ceil(k);
         let bound = (6.0f32 / (rows + cols) as f32).sqrt() * (k as f32).sqrt();
-        let blocks = (0..block_rows * block_cols)
-            .map(|_| {
-                CirculantBlock::new((0..k).map(|_| rng.gen_range(-bound..=bound)).collect())
-                    .expect("k > 0")
-            })
+        let first_rows = (0..block_rows * block_cols * k)
+            .map(|_| rng.gen_range(-bound..=bound))
             .collect();
-        Self::new_any_size(rows, cols, k, blocks).expect("dimensions are consistent")
+        Self::new_any_size(rows, cols, k, first_rows).expect("dimensions are consistent")
     }
 
     /// Logical number of rows.
@@ -316,7 +258,7 @@ impl BlockCirculantMatrix {
 
     /// Number of stored weights (`num_blocks · k`).
     pub fn stored_weights(&self) -> usize {
-        self.blocks.len() * self.k
+        self.first_rows.len()
     }
 
     /// Compression ratio versus the dense matrix.
@@ -324,14 +266,22 @@ impl BlockCirculantMatrix {
         (self.rows * self.cols) as f64 / self.stored_weights() as f64
     }
 
-    /// The block at `(block_row, block_col)`.
+    /// The first row `w` of the block at `(block_row, block_col)`: the
+    /// block's entry `(i, j)` is `w[(j - i) mod k]`.
     ///
     /// # Panics
     ///
     /// Panics if the block coordinates are out of range.
-    pub fn block(&self, block_row: usize, block_col: usize) -> &CirculantBlock {
+    pub fn block(&self, block_row: usize, block_col: usize) -> &[f32] {
         assert!(block_row < self.block_rows && block_col < self.block_cols);
-        &self.blocks[block_row * self.block_cols + block_col]
+        let l = block_row * self.block_cols + block_col;
+        &self.first_rows[l * self.k..(l + 1) * self.k]
+    }
+
+    /// Every block's first row, `k` values per block, block-row-major — the
+    /// stored representation.
+    pub(crate) fn first_rows(&self) -> &[f32] {
+        &self.first_rows
     }
 
     /// Entry `(i, j)` of the dense matrix.
@@ -341,8 +291,8 @@ impl BlockCirculantMatrix {
     /// Panics if out of bounds.
     pub fn entry(&self, i: usize, j: usize) -> f32 {
         assert!(i < self.rows && j < self.cols, "index out of bounds");
-        self.block(i / self.k, j / self.k)
-            .entry(i % self.k, j % self.k)
+        let k = self.k;
+        self.block(i / k, j / k)[(j % k + k - i % k) % k]
     }
 
     /// Expands into a dense matrix.
@@ -364,15 +314,14 @@ impl BlockCirculantMatrix {
         }
         // Exact-size output and borrowed ragged-edge tiles: no pad-to-block
         // input copy and no allocate-then-truncate on the output
-        // (matvec_accumulate_partial handles the last block row/column).
+        // (accumulate_partial handles the last block row/column).
         let k = self.k;
         let mut y = vec![0.0f32; self.rows];
         for br in 0..self.block_rows {
             let y_tile = &mut y[br * k..self.rows.min((br + 1) * k)];
             for bc in 0..self.block_cols {
-                let block = &self.blocks[br * self.block_cols + bc];
                 let x_tile = &x[bc * k..self.cols.min((bc + 1) * k)];
-                block.matvec_accumulate_partial(x_tile, y_tile);
+                accumulate_partial(self.block(br, bc), x_tile, y_tile);
             }
         }
         Ok(y)
@@ -502,10 +451,9 @@ impl BlockCirculantMatrix {
         for br in 0..self.block_rows {
             let mut acc = vec![Complex::ZERO; k];
             for (bc, x_spectrum) in x_spectra.iter().enumerate() {
-                let block = &self.blocks[br * self.block_cols + bc];
                 // The circulant matvec is a circular correlation of the first row with x:
                 // y = IFFT(conj(FFT(w)) ∘ FFT(x)) for our row-definition w[(j-i) mod k].
-                let mut w_spec = fft_real(block.first_row());
+                let mut w_spec = fft_real(self.block(br, bc));
                 for (ws, xs) in w_spec.iter_mut().zip(x_spectrum.iter()) {
                     *ws = ws.conj() * *xs;
                 }
@@ -535,7 +483,7 @@ mod tests {
 
     #[test]
     fn circulant_block_structure() {
-        let b = CirculantBlock::new(vec![1.0, 2.0, 3.0, 4.0]).unwrap();
+        let b = BlockCirculantMatrix::new(4, 4, 4, vec![1.0, 2.0, 3.0, 4.0]).unwrap();
         let d = b.to_dense();
         // Row 0 is the first row; each later row is a right rotation.
         assert_eq!(d.row(0), &[1.0, 2.0, 3.0, 4.0]);
@@ -549,16 +497,27 @@ mod tests {
 
     #[test]
     fn block_count_and_power_of_two_validation() {
-        let blocks = vec![CirculantBlock::new(vec![0.0; 3]).unwrap(); 4];
+        let first_rows = vec![0.0; 4 * 3];
         assert!(matches!(
-            BlockCirculantMatrix::new(6, 6, 3, blocks.clone()),
+            BlockCirculantMatrix::new(6, 6, 3, first_rows.clone()),
             Err(CirculantError::NonPowerOfTwo { k: 3 })
         ));
-        assert!(BlockCirculantMatrix::new_any_size(6, 6, 3, blocks).is_ok());
-        let too_few = vec![CirculantBlock::new(vec![0.0; 4]).unwrap(); 3];
+        assert!(BlockCirculantMatrix::new_any_size(6, 6, 3, first_rows).is_ok());
+        let too_few = vec![0.0; 3 * 4];
         assert!(matches!(
             BlockCirculantMatrix::new(8, 8, 4, too_few),
-            Err(CirculantError::BlockCountMismatch { .. })
+            Err(CirculantError::BlockCountMismatch {
+                got: 12,
+                expected: 16
+            })
+        ));
+        // A length that is no whole number of blocks is rejected the same way.
+        assert!(matches!(
+            BlockCirculantMatrix::new(8, 8, 4, vec![0.0; 17]),
+            Err(CirculantError::BlockCountMismatch {
+                got: 17,
+                expected: 16
+            })
         ));
     }
 

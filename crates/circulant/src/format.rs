@@ -88,15 +88,7 @@ impl CompressedLinear for BlockCirculantMatrix {
     }
 
     fn max_weight_abs(&self) -> f32 {
-        let mut m = 0.0f32;
-        for br in 0..self.rows().div_ceil(self.k()) {
-            for bc in 0..self.cols().div_ceil(self.k()) {
-                for &v in self.block(br, bc).first_row() {
-                    m = m.max(v.abs());
-                }
-            }
-        }
-        m
+        self.first_rows().iter().fold(0.0f32, |m, v| m.max(v.abs()))
     }
 
     /// Snapshot payload: rows, cols, block size, then every block's first
@@ -106,11 +98,7 @@ impl CompressedLinear for BlockCirculantMatrix {
         out.dim(self.rows());
         out.dim(self.cols());
         out.dim(self.k());
-        for br in 0..self.rows().div_ceil(self.k()) {
-            for bc in 0..self.cols().div_ceil(self.k()) {
-                out.f32_slice(self.block(br, bc).first_row());
-            }
-        }
+        out.f32_slice(self.first_rows());
         Some(permdnn_core::snapshot::FORMAT_CIRCULANT)
     }
 
@@ -145,23 +133,19 @@ pub fn decode_snapshot(
             reason: "k must be non-zero".to_string(),
         });
     }
-    let nblocks = rows.div_ceil(k) * cols.div_ceil(k);
-    // Pre-size from what the payload can actually hold (4 bytes per f32, k
-    // values per block) so a corrupt header claiming a huge nblocks cannot
-    // trigger a huge allocation before decoding fails. k > 0 was checked
-    // above, so the division is exact and the old `k.max(1) + 1` fudge that
-    // over-reserved by one block is gone.
-    let mut blocks = Vec::with_capacity(nblocks.min(r.remaining() / (4 * k)));
-    for _ in 0..nblocks {
-        let first_row = r.f32_vec(k, "circulant block row")?;
-        blocks.push(crate::block::CirculantBlock::new(first_row).map_err(|e| {
-            SnapshotError::Malformed {
-                context: "circulant block",
-                reason: e.to_string(),
-            }
-        })?);
-    }
-    let m = BlockCirculantMatrix::new_any_size(rows, cols, k, blocks).map_err(|e| {
+    // Every first row in one read: `f32_vec` checks the count against the
+    // bytes left before it allocates, so a corrupt header claiming a huge
+    // block count fails without a huge allocation.
+    let values = rows
+        .div_ceil(k)
+        .checked_mul(cols.div_ceil(k))
+        .and_then(|blocks| blocks.checked_mul(k))
+        .ok_or(SnapshotError::Malformed {
+            context: "circulant block rows",
+            reason: "block count overflows".to_string(),
+        })?;
+    let first_rows = r.f32_vec(values, "circulant block rows")?;
+    let m = BlockCirculantMatrix::new_any_size(rows, cols, k, first_rows).map_err(|e| {
         SnapshotError::Malformed {
             context: "circulant tensor",
             reason: e.to_string(),
@@ -173,7 +157,6 @@ pub fn decode_snapshot(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::block::CirculantBlock;
     use pd_tensor::init::seeded_rng;
     use rand::Rng;
 
@@ -193,10 +176,8 @@ mod tests {
 
     #[test]
     fn trait_matvec_falls_back_to_direct_for_non_power_of_two() {
-        let blocks: Vec<CirculantBlock> = (0..4)
-            .map(|i| CirculantBlock::new(vec![i as f32 * 0.5 + 0.25; 3]).unwrap())
-            .collect();
-        let m = BlockCirculantMatrix::new_any_size(6, 6, 3, blocks).unwrap();
+        let first_rows: Vec<f32> = (0..4).flat_map(|i| [i as f32 * 0.5 + 0.25; 3]).collect();
+        let m = BlockCirculantMatrix::new_any_size(6, 6, 3, first_rows).unwrap();
         let x = vec![1.0f32; 6];
         let op: &dyn CompressedLinear = &m;
         let got = op.matvec(&x).unwrap();

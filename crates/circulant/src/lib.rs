@@ -29,6 +29,6 @@ pub mod fft;
 pub mod format;
 pub mod plan;
 
-pub use block::{BlockCirculantMatrix, CirculantBlock, CirculantError, CirculantScratch};
+pub use block::{BlockCirculantMatrix, CirculantError, CirculantScratch};
 pub use complex::Complex;
 pub use plan::FftPlan;

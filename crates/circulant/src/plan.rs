@@ -146,17 +146,21 @@ impl FftPlan {
         let table = if inverse { &self.inv } else { &self.fwd };
         let mut len = 2;
         while len <= n {
+            let half = len / 2;
             // Stage `len`'s half-table: offset 1+2+..+len/4 == len/2 - 1.
-            let twiddles = &table[len / 2 - 1..len - 1];
-            let mut start = 0;
-            while start < n {
-                for (k, &w) in twiddles.iter().enumerate() {
-                    let u = data[start + k];
-                    let v = data[start + k + len / 2] * w;
-                    data[start + k] = u + v;
-                    data[start + k + len / 2] = u - v;
+            let twiddles = &table[half - 1..len - 1];
+            // Each butterfly group splits into its low and high halves, zipped
+            // with the stage's twiddles: the reference loop's operations in
+            // its order, without an index computation or bounds check per
+            // element.
+            for group in data.chunks_exact_mut(len) {
+                let (lo, hi) = group.split_at_mut(half);
+                for ((a, b), &w) in lo.iter_mut().zip(hi.iter_mut()).zip(twiddles) {
+                    let u = *a;
+                    let v = *b * w;
+                    *a = u + v;
+                    *b = u - v;
                 }
-                start += len;
             }
             len <<= 1;
         }
@@ -184,9 +188,14 @@ mod tests {
             .collect()
     }
 
+    /// Every power-of-two length from 1 to 1024.
+    fn lengths() -> impl Iterator<Item = usize> {
+        (0..=10).map(|exp| 1usize << exp)
+    }
+
     #[test]
     fn forward_is_bit_identical_to_unplanned_fft() {
-        for n in [1usize, 2, 4, 8, 16, 64, 256] {
+        for n in lengths() {
             let plan = FftPlan::new(n);
             let mut planned = signal(n);
             let mut reference = planned.clone();
@@ -198,7 +207,7 @@ mod tests {
 
     #[test]
     fn inverse_is_bit_identical_to_unplanned_ifft() {
-        for n in [1usize, 2, 8, 32, 128] {
+        for n in lengths() {
             let plan = FftPlan::new(n);
             let mut planned = signal(n);
             let mut reference = planned.clone();
@@ -210,18 +219,27 @@ mod tests {
 
     #[test]
     fn real_padded_matches_fft_real_on_padded_signal() {
-        let plan = FftPlan::new(16);
-        for sig_len in [0usize, 1, 5, 16] {
-            let real: Vec<f32> = (0..sig_len).map(|i| (i as f32 * 0.9).cos()).collect();
-            let mut padded = real.clone();
-            padded.resize(16, 0.0);
-            let mut out = vec![Complex::ZERO; 16];
-            plan.forward_real_padded(&real, &mut out);
-            assert_eq!(
-                out,
-                fft_real(&padded),
-                "mismatch at signal length {sig_len}"
-            );
+        for n in lengths() {
+            let plan = FftPlan::new(n);
+            // Every signal length up to n = 64; past that, the edges and the
+            // middle.
+            let sig_lens: Vec<usize> = if n <= 64 {
+                (0..=n).collect()
+            } else {
+                vec![0, 1, n / 2 + 1, n - 1, n]
+            };
+            for sig_len in sig_lens {
+                let real: Vec<f32> = (0..sig_len).map(|i| (i as f32 * 0.9).cos()).collect();
+                let mut padded = real.clone();
+                padded.resize(n, 0.0);
+                let mut out = vec![Complex::ZERO; n];
+                plan.forward_real_padded(&real, &mut out);
+                assert_eq!(
+                    out,
+                    fft_real(&padded),
+                    "mismatch at n={n}, signal length {sig_len}"
+                );
+            }
         }
     }
 

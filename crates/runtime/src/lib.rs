@@ -19,9 +19,10 @@
 //! * [`ModelRegistry`] — multi-model serving over durable snapshots: models
 //!   load by id through a pluggable [`ModelLoader`], heterogeneous request
 //!   streams route per model through the same batching path
-//!   ([`ModelRegistry::serve_multi`]), a byte-budgeted LRU weight cache
-//!   evicts idle models (reloaded from bytes on demand), and hot swaps
-//!   apply atomically between batches.
+//!   ([`ModelRegistry::serve_multi`]), a byte-budgeted weight cache evicts
+//!   the unit the running call needs farthest ahead, else the least
+//!   recently used (reloaded from bytes on demand), and hot swaps apply
+//!   atomically between batches.
 //! * [`traffic`] / [`slo`] — the deterministic traffic engine: seeded arrival
 //!   generators ([`UniformProcess`], [`PoissonBurst`], [`OnOffFlashCrowd`],
 //!   [`ZipfMix`]), per-model [`SloTarget`]s, and admission control + policy-

@@ -2,7 +2,9 @@
 //! materialises them on demand through a pluggable loader, serves
 //! heterogeneous request streams routed per model through the existing
 //! batching/parallel-execution path, and keeps resident weights under a byte
-//! budget with LRU eviction.
+//! budget. While a call runs, eviction drops the resident unit its schedule
+//! needs farthest ahead (Belady's rule); units it needs no more go first,
+//! least recently used first, so outside a call the rule is plain LRU.
 //!
 //! The registry deliberately stores *snapshot bytes*, not live models: bytes
 //! are the durable artifact (they survive restarts and travel between
@@ -34,16 +36,18 @@
 //! A registry built with [`ModelRegistry::new_paged`] runs in
 //! [`ResidencyMode::Paged`] — "Memory-Efficient mode": block-streamed
 //! snapshots ([`KIND_BLOCKED`]) load as metadata-sized *skeletons*
-//! ([`PagedModel`]) and the LRU byte budget is enforced at weight-*block*
+//! ([`PagedModel`]) and the byte budget is enforced at weight-*block*
 //! granularity. Before a batch executes, the registry faults in exactly the
 //! blocks that batch's model needs (each checked against its stored CRC and
 //! decoded in place via [`load_block`], never touching the rest of the
 //! container), a deterministic prefetch hook pages the *next* scheduled
-//! batch's model in the idle gap, and eviction drops cold blocks, not whole
-//! models. Faults are charged ticks by a [`PagingModel`], so a model whose
-//! weights exceed `budget_bytes` serves correctly — just slower — with
-//! outputs bit-identical to an unlimited-budget whole-load run.
+//! batch's model in the idle gap, and eviction drops the block the call
+//! needs last, not whole models. Faults are charged ticks by a
+//! [`PagingModel`], so a model whose weights exceed `budget_bytes` serves
+//! correctly — just slower — with outputs bit-identical to an
+//! unlimited-budget whole-load run.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -175,8 +179,9 @@ enum Residency {
     /// on demand after eviction.
     Whole(Option<Arc<dyn BatchModel>>),
     /// A block-paged skeleton: always resident itself (metadata-sized), its
-    /// weight slots fault in and out. `stamps[s]` is stage `s`'s LRU stamp
-    /// (shares the registry clock with whole entries; 0 = never resident).
+    /// weight slots fault in and out. `stamps[s]` is stage `s`'s last-use
+    /// stamp (shares the registry clock with whole entries; 0 = never
+    /// resident), the victim rule's tie-break among units with no use left.
     Paged {
         model: Arc<PagedModel>,
         stamps: Vec<u64>,
@@ -199,7 +204,7 @@ impl Loaded {
 }
 
 /// One registered model: its durable snapshot plus the (evictable) loaded
-/// instance and LRU bookkeeping. The input/output widths are recorded at
+/// instance and its last-use stamp. The input/output widths are recorded at
 /// insert time so hot swaps can be shape-checked even while the model
 /// itself is evicted.
 struct ModelEntry {
@@ -239,6 +244,92 @@ pub struct RegistryStats {
     /// [`ModelRegistry::stats`], this-run-only in the per-run delta a
     /// [`MultiServeReport`] carries.
     pub peak_resident_bytes: u64,
+}
+
+/// When each model runs next in the call being executed: the table the
+/// victim rule reads. One backward pass over the call's schedule builds it
+/// and [`NextUses::advance`] moves it past each executed batch. It borrows
+/// the schedule's model ids, so it lives in `execute`'s frame and no
+/// registry field ever holds it.
+struct NextUses<'a> {
+    /// Batch `i` runs model `ids[i]`.
+    ids: &'a [String],
+    /// Per model, the first batch at or after the running one that runs it;
+    /// models with no batch left are absent.
+    upcoming: BTreeMap<&'a str, usize>,
+    /// Per batch, the next batch that runs the same model.
+    after: Vec<Option<usize>>,
+}
+
+impl<'a> NextUses<'a> {
+    fn new(ids: &'a [String]) -> Self {
+        let mut upcoming = BTreeMap::new();
+        let mut after = vec![None; ids.len()];
+        for (i, id) in ids.iter().enumerate().rev() {
+            after[i] = upcoming.insert(id.as_str(), i);
+        }
+        NextUses {
+            ids,
+            upcoming,
+            after,
+        }
+    }
+
+    /// Moves past batch `i`: its model next runs in the batch after it.
+    fn advance(&mut self, i: usize) {
+        let ids: &'a [String] = self.ids;
+        let id = ids[i].as_str();
+        match self.after[i] {
+            Some(next) => self.upcoming.insert(id, next),
+            None => self.upcoming.remove(id),
+        };
+    }
+
+    /// The victim rule's position at stage `stage` of batch `batch`.
+    fn at(&self, batch: usize, stage: usize) -> Now<'_> {
+        Now {
+            uses: Some(self),
+            at: (batch, stage),
+        }
+    }
+}
+
+/// Where the running call stands when it needs room: its next-use table and
+/// the `(batch, stage)` it has reached.
+#[derive(Clone, Copy)]
+struct Now<'a> {
+    uses: Option<&'a NextUses<'a>>,
+    at: (usize, usize),
+}
+
+impl Now<'_> {
+    /// Outside a call nothing is scheduled: no unit has a use left, and the
+    /// victim rule is plain LRU.
+    const IDLE: Now<'static> = Now {
+        uses: None,
+        at: (0, 0),
+    };
+
+    /// The same batch at stage `stage`.
+    fn stage(self, stage: usize) -> Self {
+        Now {
+            at: (self.at.0, stage),
+            ..self
+        }
+    }
+
+    /// The first `(batch, stage)` at or after now at which stage `stage` of
+    /// model `id` runs (a whole model is stage 0), or `None` if the call
+    /// needs it no more. The running model's stages below now have run, so
+    /// they are next needed in its next batch.
+    fn next_use(self, id: &str, stage: usize) -> Option<(usize, usize)> {
+        let uses = self.uses?;
+        let mut batch = *uses.upcoming.get(id)?;
+        if (batch, stage) < self.at {
+            batch = uses.after[batch]?;
+        }
+        Some((batch, stage))
+    }
 }
 
 /// A request routed to a named model.
@@ -378,8 +469,9 @@ pub fn interleave_streams(streams: Vec<(String, Vec<Request>)>) -> Vec<TaggedReq
     merged
 }
 
-/// A snapshot-backed multi-model registry with a byte-budgeted LRU weight
-/// cache and atomic between-batch hot swaps.
+/// A snapshot-backed multi-model registry with a byte-budgeted weight cache
+/// (evicting the unit the running call needs farthest ahead, else the least
+/// recently used) and atomic between-batch hot swaps.
 pub struct ModelRegistry {
     loader: ModelLoader,
     /// `Some` puts the registry in [`ResidencyMode::Paged`].
@@ -497,7 +589,7 @@ impl ModelRegistry {
         slo: Option<SloTarget>,
     ) -> Result<(), RegistryError> {
         let loaded = self.load_for_insert(id, &snapshot)?;
-        self.install_entry(id, snapshot, slo, loaded);
+        self.install_entry(id, snapshot, slo, loaded, Now::IDLE);
         Ok(())
     }
 
@@ -526,13 +618,14 @@ impl ModelRegistry {
     /// Replaces (or creates) `id`'s entry with an already-validated load:
     /// the shared tail of insert and swap. Whole loads count their snapshot
     /// bytes resident immediately; paged skeletons start cold (every slot
-    /// vacant, zero resident bytes).
+    /// vacant, zero resident bytes). Evictions it forces follow `now`.
     fn install_entry(
         &mut self,
         id: &str,
         snapshot: Vec<u8>,
         slo: Option<SloTarget>,
         loaded: Loaded,
+        now: Now<'_>,
     ) {
         self.evict_entry_model(id);
         let size = snapshot.len() as u64;
@@ -571,7 +664,7 @@ impl ModelRegistry {
         self.stats.loads += 1;
         self.loaded_bytes += resident_bytes;
         self.note_peak();
-        self.enforce_budget(Some(id));
+        self.enforce_budget(Some(id), now);
     }
 
     /// Records a new resident-byte high-water mark, lifetime and run, if one
@@ -652,6 +745,12 @@ impl ModelRegistry {
     /// [`RegistryError::ShapeMismatch`] for a differently-shaped
     /// replacement, or the loader's error for invalid bytes.
     pub fn swap(&mut self, id: &str, snapshot: Vec<u8>) -> Result<(), RegistryError> {
+        self.swap_at(id, snapshot, Now::IDLE)
+    }
+
+    /// [`ModelRegistry::swap`] at a call's position `now`, which any
+    /// eviction it forces follows.
+    fn swap_at(&mut self, id: &str, snapshot: Vec<u8>, now: Now<'_>) -> Result<(), RegistryError> {
         let Some(entry) = self.entries.get(id) else {
             return Err(RegistryError::UnknownModel { id: id.to_string() });
         };
@@ -666,7 +765,7 @@ impl ModelRegistry {
                 replacement,
             });
         }
-        self.install_entry(id, snapshot, slo, loaded);
+        self.install_entry(id, snapshot, slo, loaded, now);
         self.stats.swaps += 1;
         Ok(())
     }
@@ -754,9 +853,10 @@ impl ModelRegistry {
             .ok_or_else(|| RegistryError::UnknownModel { id: id.to_string() })
     }
 
-    /// Resolves `id` to a servable model: touches the LRU clock, rebuilds the
-    /// model from its snapshot if it was evicted, and evicts least-recently-
-    /// used *other* models while the resident total exceeds the budget.
+    /// Resolves `id` to a servable model: stamps its last use, rebuilds the
+    /// model from its snapshot if it was evicted, and evicts *other* units
+    /// while the resident total exceeds the budget. No call is running, so
+    /// the least recently used go first.
     ///
     /// # Errors
     ///
@@ -766,6 +866,12 @@ impl ModelRegistry {
     /// that validated at insert time but are still propagated rather than
     /// unwrapped.
     pub fn model(&mut self, id: &str) -> Result<Arc<dyn BatchModel>, RegistryError> {
+        self.model_at(id, Now::IDLE)
+    }
+
+    /// [`ModelRegistry::model`] at a call's position `now`, which any
+    /// eviction it forces follows.
+    fn model_at(&mut self, id: &str, now: Now<'_>) -> Result<Arc<dyn BatchModel>, RegistryError> {
         if !self.entries.contains_key(id) {
             return Err(RegistryError::UnknownModel { id: id.to_string() });
         }
@@ -789,7 +895,7 @@ impl ModelRegistry {
                 m
             }
         };
-        self.enforce_budget(Some(id));
+        self.enforce_budget(Some(id), now);
         Ok(model)
     }
 
@@ -811,34 +917,43 @@ impl ModelRegistry {
         }
     }
 
-    /// Evicts the globally least-recently-used resident *unit* — a whole
-    /// model or one paged weight block — skipping `keep` (whole entries
-    /// only; block faults pin nothing, the incoming block is not resident
-    /// yet). Returns whether anything was evicted. LRU stamps are unique
-    /// (the clock strictly increments and both kinds share it), so the
-    /// victim is deterministic.
-    fn evict_lru_unit(&mut self, keep: Option<&str>) -> bool {
+    /// Evicts one resident *unit* — a whole model or one paged weight block
+    /// — skipping `keep` (whole entries only; block faults pin nothing, the
+    /// incoming block is not resident yet). Returns whether anything was
+    /// evicted.
+    ///
+    /// The victim is the unit whose next use in the running call is
+    /// farthest from `now` (Belady's rule over the call's known schedule).
+    /// Units the call needs no more go first, least recently used first, so
+    /// with no call running ([`Now::IDLE`]) the rule is plain LRU. Next uses
+    /// are distinct per unit and last-use stamps are unique (the clock
+    /// strictly increments and both kinds share it), so the victim is
+    /// deterministic.
+    fn evict_unit(&mut self, keep: Option<&str>, now: Now<'_>) -> bool {
         let victim = self
             .entries
             .iter()
             .flat_map(|(id, e)| match &e.residency {
                 Residency::Whole(Some(_)) if Some(id.as_str()) != keep => {
-                    vec![(e.last_used, id.clone(), None)]
+                    vec![(e.last_used, id, None)]
                 }
                 Residency::Paged { model, stamps } => model
                     .resident_stages()
-                    .map(|s| (stamps[s], id.clone(), Some(s)))
+                    .map(|s| (stamps[s], id, Some(s)))
                     .collect(),
                 _ => Vec::new(),
             })
-            .min_by_key(|(stamp, _, _)| *stamp);
-        match victim {
-            Some((_, id, None)) => {
-                self.evict_entry_model(&id);
-                self.stats.evictions += 1;
-                true
-            }
-            Some((_, id, Some(s))) => {
+            .max_by_key(|&(stamp, id, stage)| {
+                let next = now.next_use(id, stage.unwrap_or(0));
+                (next.is_none(), next, Reverse(stamp))
+            })
+            .map(|(_, id, stage)| (id.clone(), stage));
+        let Some((id, stage)) = victim else {
+            return false;
+        };
+        match stage {
+            None => self.evict_entry_model(&id),
+            Some(s) => {
                 let entry = self.entries.get(&id).expect("victim ids are registered");
                 let Residency::Paged { model, .. } = &entry.residency else {
                     unreachable!("block victims come from paged entries");
@@ -847,30 +962,30 @@ impl ModelRegistry {
                 if model.evict_stage(s) {
                     self.loaded_bytes -= bytes;
                 }
-                self.stats.evictions += 1;
-                true
             }
-            None => false,
         }
+        self.stats.evictions += 1;
+        true
     }
 
-    /// Evicts least-recently-used resident units (never `keep`) until the
-    /// byte budget is respected or nothing evictable remains.
-    fn enforce_budget(&mut self, keep: Option<&str>) {
+    /// Evicts resident units (never `keep`) by the victim rule at `now`
+    /// until the byte budget is respected or nothing evictable remains.
+    fn enforce_budget(&mut self, keep: Option<&str>, now: Now<'_>) {
         while self.loaded_bytes > self.budget_bytes {
-            if !self.evict_lru_unit(keep) {
+            if !self.evict_unit(keep, now) {
                 break;
             }
         }
     }
 
-    /// Evicts until `incoming` more bytes would fit the budget (or nothing
-    /// evictable remains) — the admission step before a block fault. The
-    /// incoming block is not resident, so nothing needs pinning; resident
-    /// bytes therefore never exceed `max(budget, largest block)`.
-    fn make_room_for(&mut self, incoming: u64) {
+    /// Evicts by the victim rule at `now` until `incoming` more bytes would
+    /// fit the budget (or nothing evictable remains) — the admission step
+    /// before a block fault. The incoming block is not resident, so nothing
+    /// needs pinning; resident bytes therefore never exceed
+    /// `max(budget, largest block)`.
+    fn make_room_for(&mut self, incoming: u64, now: Now<'_>) {
         while self.loaded_bytes.saturating_add(incoming) > self.budget_bytes {
-            if !self.evict_lru_unit(None) {
+            if !self.evict_unit(None, now) {
                 break;
             }
         }
@@ -880,8 +995,8 @@ impl ModelRegistry {
     /// modeled ticks the fault cost (0 if it was already resident or is a
     /// never-paged stage). Decodes exactly that stage's block in place after
     /// one check against its stored CRC — the rest of the container
-    /// untouched.
-    fn fault_stage(&mut self, id: &str, s: usize) -> Result<u64, RegistryError> {
+    /// untouched. Room for it is made by the victim rule at `now`.
+    fn fault_stage(&mut self, id: &str, s: usize, now: Now<'_>) -> Result<u64, RegistryError> {
         let (model, snapshot) = {
             let entry = self.entries.get(id).expect("fault callers check the id");
             let Residency::Paged { model, .. } = &entry.residency else {
@@ -895,7 +1010,7 @@ impl ModelRegistry {
         self.clock += 1;
         let mut ticks = 0;
         if !model.is_stage_resident(s) {
-            self.make_room_for(bytes);
+            self.make_room_for(bytes, now);
             let paged = self.paged.as_ref().expect("paged entries imply paged mode");
             model.install(s, load_block(&snapshot, block, &paged.codec)?)?;
             ticks = paged.paging.fault_ticks(bytes);
@@ -916,8 +1031,9 @@ impl ModelRegistry {
     /// order, stopping before the blocks fetched so far would overflow the
     /// budget — so an over-budget model keeps its *early* stages resident
     /// between batches instead of thrashing the whole chain — and returns
-    /// the modeled ticks spent. Whole-loaded ids cost nothing here.
-    fn prefetch_model(&mut self, id: &str) -> Result<u64, RegistryError> {
+    /// the modeled ticks spent. Whole-loaded ids cost nothing here. `now` is
+    /// the start of the batch being prefetched for.
+    fn prefetch_model(&mut self, id: &str, now: Now<'_>) -> Result<u64, RegistryError> {
         let model = match self.entries.get(id).map(|e| &e.residency) {
             Some(Residency::Paged { model, .. }) => Arc::clone(model),
             _ => return Ok(0),
@@ -932,7 +1048,7 @@ impl ModelRegistry {
             if cumulative > self.budget_bytes {
                 break;
             }
-            ticks = ticks.saturating_add(self.fault_stage(id, s)?);
+            ticks = ticks.saturating_add(self.fault_stage(id, s, now)?);
         }
         Ok(ticks)
     }
@@ -941,7 +1057,8 @@ impl ModelRegistry {
     /// before it executes, and writes the batch outputs into `outputs`.
     /// Returns the total demand-fault ticks. The stage loop is the
     /// whole-loaded model's ([`crate::paging::run_stages`]), so outputs are
-    /// independent of residency history.
+    /// independent of residency history. `now` is the batch's start; the
+    /// fault of stage `s` stands at its stage `s`.
     fn paged_forward(
         &mut self,
         id: &str,
@@ -949,6 +1066,7 @@ impl ModelRegistry {
         batch: usize,
         exec: &ParallelExecutor,
         outputs: &mut Matrix,
+        now: Now<'_>,
     ) -> Result<u64, RegistryError> {
         self.clock += 1;
         let clock = self.clock;
@@ -966,7 +1084,7 @@ impl ModelRegistry {
         let xs = BatchView::new(input, batch, model.in_dim())?;
         let mut fault_ticks = 0u64;
         model.forward_into(&xs, exec, outputs, |s| {
-            fault_ticks = fault_ticks.saturating_add(self.fault_stage(id, s)?);
+            fault_ticks = fault_ticks.saturating_add(self.fault_stage(id, s, now.stage(s))?);
             Ok::<(), RegistryError>(())
         })?;
         Ok(fault_ticks)
@@ -974,8 +1092,9 @@ impl ModelRegistry {
 
     /// Applies every pending swap scheduled at or before `tick`. Invalid
     /// replacement snapshots are dropped (the old model keeps serving) —
-    /// a mid-stream swap must never poison a running service.
-    fn apply_swaps_due(&mut self, tick: u64) -> usize {
+    /// a mid-stream swap must never poison a running service. Evictions a
+    /// swap forces follow `now`.
+    fn apply_swaps_due(&mut self, tick: u64, now: Now<'_>) -> usize {
         let mut applied = 0;
         while self
             .pending_swaps
@@ -983,7 +1102,7 @@ impl ModelRegistry {
             .is_some_and(|(at, _, _)| *at <= tick)
         {
             let (_, id, snapshot) = self.pending_swaps.remove(0);
-            if self.entries.contains_key(&id) && self.swap(&id, snapshot).is_ok() {
+            if self.entries.contains_key(&id) && self.swap_at(&id, snapshot, now).is_ok() {
                 applied += 1;
             }
         }
@@ -1092,15 +1211,23 @@ impl ModelRegistry {
     /// Executes a schedule's batches in order on one engine timeline: a batch
     /// starts at `max(close tick, engine ready)`, due hot swaps apply first,
     /// paged models fault their blocks in (the fault ticks stall the engine),
-    /// and the next batch's model is prefetched after each completion.
+    /// and the next batch's model is prefetched after each completion. Every
+    /// eviction on the way drops the unit the schedule needs farthest ahead.
     fn execute(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &ServeConfig,
         first_arrival_tick: u64,
-        batches: Vec<ScheduledBatch>,
+        mut batches: Vec<ScheduledBatch>,
     ) -> Result<MultiServeReport, RegistryError> {
         let before = self.begin_run();
+        // The ids move out of the batches, so the next-use table can borrow
+        // them while the batches are consumed.
+        let ids: Vec<String> = batches
+            .iter_mut()
+            .map(|b| std::mem::take(&mut b.model_id))
+            .collect();
+        let mut uses = NextUses::new(&ids);
         let mut completed = Vec::new();
         let mut per_model: BTreeMap<String, ModelServeStats> = BTreeMap::new();
         // When the engine can next *start* a batch: the last completion tick
@@ -1110,12 +1237,11 @@ impl ModelRegistry {
         let mut final_tick = first_arrival_tick;
         let mut input = Vec::new();
         let mut outputs = Matrix::zeros(0, 0);
-        let mut batches = batches.into_iter().peekable();
-        while let Some(batch) = batches.next() {
-            let id = batch.model_id;
+        for (i, (batch, id)) in batches.into_iter().zip(&ids).enumerate() {
+            let now = uses.at(i, 0);
             let start = batch.close_tick.max(engine_ready);
-            self.apply_swaps_due(start);
-            let entry = self.entries.get(&id).expect("routed ids stay registered");
+            self.apply_swaps_due(start, now);
+            let entry = self.entries.get(id).expect("routed ids stay registered");
             let in_dim = entry.in_dim;
             let mul_count = entry.mul_count;
             let paged_entry = matches!(entry.residency, Residency::Paged { .. });
@@ -1129,9 +1255,9 @@ impl ModelRegistry {
             // Demand faults stall the engine before execution; whole-loaded
             // models load outside the modeled timeline.
             let fault_ticks = if paged_entry {
-                self.paged_forward(&id, &input, size, exec, &mut outputs)?
+                self.paged_forward(id, &input, size, exec, &mut outputs, now)?
             } else {
-                let model = self.model(&id)?;
+                let model = self.model_at(id, now)?;
                 let xs = BatchView::new(&input, size, in_dim)?;
                 model.forward_batch_into(&xs, exec, &mut outputs)?;
                 0
@@ -1147,8 +1273,9 @@ impl ModelRegistry {
             // model right after this batch completes. Depends only on the
             // reference-decided order and fault history, so it is identical
             // for every worker count.
-            let prefetch_ticks = match batches.peek() {
-                Some(next) => self.prefetch_model(&next.model_id)?,
+            uses.advance(i);
+            let prefetch_ticks = match ids.get(i + 1) {
+                Some(next) => self.prefetch_model(next, uses.at(i + 1, 0))?,
                 None => 0,
             };
             engine_ready = completion_tick.saturating_add(prefetch_ticks);
@@ -1170,8 +1297,9 @@ impl ModelRegistry {
                 });
             }
         }
-        // Swaps scheduled past the last batch apply at stream end.
-        self.apply_swaps_due(u64::MAX);
+        // Swaps scheduled past the last batch apply at stream end, when no
+        // batch is left to need anything.
+        self.apply_swaps_due(u64::MAX, Now::IDLE);
 
         Ok(MultiServeReport {
             completed,
@@ -1690,6 +1818,90 @@ mod tests {
             p.stats.peak_resident_bytes
         );
         assert!(paged.loaded_bytes() <= budget + max_block);
+    }
+
+    /// One hand-built batch per id, one request each, all closed at tick 0.
+    fn cyclic_schedule(ids: &[&str]) -> Vec<ScheduledBatch> {
+        ids.iter()
+            .enumerate()
+            .map(|(i, id)| ScheduledBatch {
+                close_tick: 0,
+                priority: 0,
+                deadline_tick: u64::MAX,
+                ref_ticks: 0,
+                model_id: id.to_string(),
+                seq: i,
+                requests: vec![Request {
+                    id: i as u64,
+                    arrival_tick: 0,
+                    input: (0..8).map(|j| ((i * 8 + j) as f32 * 0.3).sin()).collect(),
+                }],
+            })
+            .collect()
+    }
+
+    #[test]
+    fn a_cyclic_scan_keeps_hits_under_the_victim_rule() {
+        // Three one-block models scanned A B C A B C with room for two
+        // units. LRU evicts the unit needed next on every miss, so each of
+        // the six batches misses. Evicting the unit the call needs farthest
+        // ahead (or no more) misses only four times paged and three times
+        // whole-loaded.
+        let ids = ["a", "b", "c"];
+        let snaps: Vec<Vec<u8>> = (0..3).map(|i| pd_snapshot(8, 60 + i)).collect();
+        let order = ["a", "b", "c", "a", "b", "c"];
+        let codec = SnapshotCodec::new();
+        let check_outputs = |report: &MultiServeReport| {
+            let batches = cyclic_schedule(&order);
+            for (tc, batch) in report.completed.iter().zip(&batches) {
+                let k = ids.iter().position(|id| *id == tc.model_id).unwrap();
+                let op = load_tensor(&snaps[k], &codec).unwrap();
+                assert_eq!(tc.model_id, batch.model_id);
+                assert_eq!(
+                    tc.completed.output,
+                    op.matvec(&batch.requests[0].input).unwrap()
+                );
+            }
+        };
+
+        // Paged. Prefetch pages the next batch's block after each batch:
+        // a faults, b prefetches; c's prefetch evicts b (next needed in
+        // batch 4, after a's batch 3); b's second prefetch evicts a (no use
+        // left). Four faults, two evictions.
+        let blocked: Vec<Vec<u8>> = snaps
+            .iter()
+            .map(|s| block_stream_snapshot(s).unwrap())
+            .collect();
+        let block = read_block_index(&blocked[0]).unwrap().max_block_bytes();
+        let mut paged = ModelRegistry::new_paged(tensor_loader(), paged_cfg(), 2 * block);
+        for (id, b) in ids.iter().zip(&blocked) {
+            assert_eq!(read_block_index(b).unwrap().max_block_bytes(), block);
+            paged.insert(id, b.clone()).unwrap();
+        }
+        let exec = ParallelExecutor::sequential();
+        let report = paged
+            .execute(&exec, &cfg(), 0, cyclic_schedule(&order))
+            .unwrap();
+        check_outputs(&report);
+        assert_eq!(report.stats.blocks_faulted, 4, "LRU faults all six");
+        assert_eq!(report.stats.evictions, 2);
+        assert!(report.stats.peak_resident_bytes <= 2 * block + block);
+
+        // Whole-loaded: inserting c evicts a (LRU, no call running). Then a's
+        // reload evicts c (needed in batch 2, after b's batch 1), c's evicts
+        // b (batch 4, after a's batch 3) and b's evicts a (no use left).
+        let budget = snaps.iter().map(|s| s.len() as u64).max().unwrap() * 2;
+        let mut whole = ModelRegistry::new(tensor_loader(), budget);
+        for (id, snap) in ids.iter().zip(&snaps) {
+            whole.insert(id, snap.clone()).unwrap();
+        }
+        assert!(!whole.is_resident("a"), "insert evicts plain LRU");
+        let report = whole
+            .execute(&exec, &cfg(), 0, cyclic_schedule(&order))
+            .unwrap();
+        check_outputs(&report);
+        assert_eq!(report.stats.reloads, 3, "LRU reloads all six");
+        assert_eq!(report.stats.evictions, 3);
     }
 
     #[test]

@@ -18,8 +18,8 @@
 //! * [`ZipfMix`] — multi-tenant traffic over a
 //!   [`ModelRegistry`](crate::registry::ModelRegistry): each request is
 //!   routed to a model drawn from a Zipf(`s`) popularity distribution, so a
-//!   few models are hot and the long tail is cold (the access skew the LRU
-//!   weight cache is designed around).
+//!   few models are hot and the long tail is cold (the access skew the
+//!   registry's weight cache is designed around).
 //!
 //! Every stream is a pure function of `(configuration, seed)` through the
 //! workspace's ChaCha20 shim: generation never looks at execution state, so
@@ -328,7 +328,7 @@ impl OnOffFlashCrowd {
 /// has weight `k^-exponent`, so the first model is hot and the tail is cold.
 ///
 /// This is the access pattern the
-/// [`ModelRegistry`](crate::registry::ModelRegistry)'s LRU weight cache is
+/// [`ModelRegistry`](crate::registry::ModelRegistry)'s weight cache is
 /// designed around: the hot model stays resident while cold models evict and
 /// reload.
 #[derive(Debug, Clone, PartialEq)]

@@ -17,6 +17,11 @@
 //! (batch > 1 on more than one worker) and the per-request output vectors
 //! the serving loops hand back.
 //!
+//! One block fault is pinned too: decoding a 512² circulant block (k = 8,
+//! 4,096 circulant blocks, the wall-clock benchmark's paged circulant
+//! layer) through `load_block` makes at most 32 allocations, whatever its
+//! block count.
+//!
 //! This file holds the workspace's only `unsafe` code: the `GlobalAlloc`
 //! impl, which forwards every call to `System`.
 
@@ -209,4 +214,28 @@ fn single_layer_model_allocates_nothing_per_batch() {
             );
         }
     }
+}
+
+#[test]
+fn a_circulant_block_fault_allocates_a_bounded_number_of_times() {
+    let rng = &mut seeded_rng(0xC1C);
+    let model = MlpClassifier::new_frozen(
+        512,
+        &[512, 512],
+        CLASSES,
+        WeightFormat::Circulant { k: 8 },
+        rng,
+    );
+    let blocked = block_stream_snapshot(&model.save().unwrap()).unwrap();
+    let (block, _) = load_paged_model(&blocked)
+        .unwrap()
+        .stage_block(0)
+        .expect("the first stage is a paged 512x512 circulant layer");
+    let codec = codec();
+    let op = load_block(&blocked, block, &codec).unwrap();
+    assert_eq!((op.out_dim(), op.in_dim()), (512, 512));
+    let n = allocations_per_call(|| {
+        std::hint::black_box(load_block(&blocked, block, &codec).unwrap());
+    });
+    assert!(n <= 32, "{n} allocations per warm circulant block load");
 }

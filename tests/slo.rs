@@ -10,7 +10,7 @@
 //!    so every committed serving baseline stays comparable.
 //! 3. `EarliestDeadline` attains at least `Fifo`'s SLO attainment on the
 //!    flash-crowd scenario at the equal shed rate admission guarantees.
-//! 4. The `ModelRegistry`'s LRU weight cache under Zipf-skewed interleaved
+//! 4. The `ModelRegistry`'s weight cache under Zipf-skewed interleaved
 //!    traffic keeps the hot model resident, evicts and reloads the cold one,
 //!    and never changes a served bit.
 
@@ -292,7 +292,7 @@ fn lru_cache_under_zipf_traffic_keeps_hot_resident_and_serves_identically() {
         "tight budget must thrash the cold models: {:?}",
         tight.serve.stats
     );
-    // A follow-up burst of hot-only traffic: LRU keeps the hot model
+    // A follow-up burst of hot-only traffic: the cache keeps the hot model
     // resident afterwards while the expensive cold model has been evicted.
     reg.serve_traffic(
         &ParallelExecutor::new(2),

@@ -698,8 +698,8 @@ proptest! {
 
 #[test]
 fn mixed_fixture_serves_identically_whole_loaded_and_paged() {
-    use permdnn::core::snapshot::block_stream_snapshot;
-    use permdnn::nn::snapshot::paged_config;
+    use permdnn::core::snapshot::{block_stream_snapshot, read_block_index};
+    use permdnn::nn::snapshot::{load_paged_model, paged_config};
 
     let bytes = std::fs::read(fixture_path("mlp_mixed", "snap")).expect("committed fixture");
     let model = MlpClassifier::load(&bytes).expect("fixture loads");
@@ -736,7 +736,7 @@ fn mixed_fixture_serves_identically_whole_loaded_and_paged() {
         // Paged path over the block-streamed re-encoding of the same fixture.
         let blocked = block_stream_snapshot(&bytes).unwrap();
         let mut paged = ModelRegistry::new_paged(batch_model_loader(), paged_config(), u64::MAX);
-        paged.insert("mixed", blocked).unwrap();
+        paged.insert("mixed", blocked.clone()).unwrap();
         let paged_report = paged
             .serve_multi(&exec, &serve_cfg(), tagged.clone())
             .unwrap();
@@ -745,6 +745,28 @@ fn mixed_fixture_serves_identically_whole_loaded_and_paged() {
             decisions(&whole_report),
             decisions(&paged_report),
             "{workers} workers: paged serving must match whole-load bit for bit"
+        );
+        // The same under a budget of the fixture's largest block, which
+        // evicts inside every batch: the fixture's biases are non-zero, so a
+        // paged stage loop that applied them out of order would show here.
+        // A block faulted twice was evicted in between, so more faults than
+        // the model has stages prove the budget evicts.
+        let budget = read_block_index(&blocked).unwrap().max_block_bytes();
+        let stages = load_paged_model(&blocked).unwrap().stages() as u64;
+        let mut tight = ModelRegistry::new_paged(batch_model_loader(), paged_config(), budget);
+        tight.insert("mixed", blocked.clone()).unwrap();
+        let tight_report = tight
+            .serve_multi(&exec, &serve_cfg(), tagged.clone())
+            .unwrap();
+        assert_eq!(
+            decisions(&whole_report),
+            decisions(&tight_report),
+            "{workers} workers, {budget}-byte budget: paged serving must match whole-load"
+        );
+        assert!(
+            tight_report.stats.blocks_faulted > stages,
+            "{workers} workers: {} blocks faulted for {stages} stages at a {budget}-byte budget",
+            tight_report.stats.blocks_faulted
         );
         // And both match direct evaluation of the committed fixture.
         for tc in &whole_report.completed {
