@@ -24,10 +24,17 @@
 //! at p=4 at batch 1, and PD over CSC at p=4 at the sweep's batch and at
 //! batch 1 (one single-row call per input).
 //!
+//! A ninth point times the checksum every block fault runs: the four-lane
+//! [`crc32`] vs [`crc32_single_lane`], on a PD p=4 layer's weight record
+//! (294,926 bytes at 512²) read in place inside a block-streamed container.
+//!
 //! Every pair is asserted **bit-identical** before timing, and the binary
 //! then asserts each point's speedup floor: circulant ≥ 4x, pd_f32 and q16 ≥
 //! 1.2x, PD over dense ≥ 4x (p=8) and ≥ 2x (p=4) at batch 32 and ≥ 3x (p=4)
-//! at batch 1, and PD over CSC ≥ 4x at batch 32 and ≥ 2x at batch 1. Both
+//! at batch 1, PD over CSC ≥ 4x at batch 32 and ≥ 2x at batch 1, and the
+//! four-lane CRC ≥ 0.6x (it reads 2.4–3.1x on a quiet 2-vCPU host but fell
+//! to 1.0x while the other vCPU was busy: the lanes need load throughput
+//! the other vCPU shares, the single lane waits on latency). Both
 //! sides of a point are timed in alternation and the speedup is the median
 //! of the per-pair ratios, so a shift in machine speed lands on both sides
 //! alike. Unlike the tick-modeled sweeps, these numbers are
@@ -50,7 +57,10 @@ use permdnn_bench::{
 use permdnn_circulant::{BlockCirculantMatrix, CirculantScratch};
 use permdnn_core::format::{BatchView, CompressedLinear};
 use permdnn_core::qlinear::{QScheme, QScratch, QuantizedLinear};
+use permdnn_core::snapshot::{block_stream_snapshot, crc32, crc32_single_lane, read_block_index};
 use permdnn_core::{BlockPermDiagMatrix, Scratch};
+use permdnn_nn::layers::WeightFormat;
+use permdnn_nn::MlpClassifier;
 use permdnn_prune::CscMatrix;
 
 struct WallPoint {
@@ -130,6 +140,7 @@ fn main() {
         pd_vs_point("pd_p4_vs_dense_b1", Baseline::Dense, n, 4, 1, reps, 3.0),
         pd_vs_point("pd_p4_vs_csc", Baseline::Csc, n, 4, batch, reps, 4.0),
         pd_vs_point("pd_p4_vs_csc_b1", Baseline::Csc, n, 4, 1, reps, 2.0),
+        crc32_point(n, reps),
     ];
 
     for p in &points {
@@ -413,6 +424,54 @@ fn pd_vs_point(
         reference_us,
         speedup,
         floor,
+    }
+}
+
+/// The four-lane `crc32` vs its single-lane loop on the payload a PD p=4
+/// block fault checks: the first `n`x`n` layer's weight record of a frozen
+/// MLP (294,926 bytes at 512²), read in place at its real, unaligned offset
+/// inside the block-streamed container. One checksum per timed call.
+fn crc32_point(n: usize, reps: usize) -> WallPoint {
+    let model = MlpClassifier::new_frozen(
+        n,
+        &[n, n],
+        10,
+        WeightFormat::PermutedDiagonal { p: 4 },
+        &mut seeded_rng(51),
+    );
+    let blocked = block_stream_snapshot(&model.save().expect("frozen MLPs snapshot"))
+        .expect("MLP snapshots block-stream");
+    let block = &read_block_index(&blocked)
+        .expect("a valid block index")
+        .blocks[0];
+    let payload = &blocked[block.offset as usize..(block.offset + block.len) as usize];
+    assert_eq!(
+        crc32(payload),
+        crc32_single_lane(payload),
+        "four-lane and single-lane CRCs must be equal"
+    );
+
+    let (optimized_us, reference_us, speedup) = paired_us(
+        reps,
+        || {
+            black_box(crc32(black_box(payload)));
+        },
+        || {
+            black_box(crc32_single_lane(black_box(payload)));
+        },
+    );
+
+    WallPoint {
+        workload: "crc32_pd_p4_block",
+        baseline: "single-lane crc32",
+        rows: n,
+        cols: n,
+        batch: 1,
+        reps,
+        optimized_us,
+        reference_us,
+        speedup,
+        floor: 0.6,
     }
 }
 

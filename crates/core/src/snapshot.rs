@@ -223,10 +223,14 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// The slicing-by-8 lookup tables behind [`crc32`], computed at compile time.
-/// `CRC_TABLES[0][b]` is the CRC register after shifting byte `b` through the
-/// polynomial; `CRC_TABLES[k][b]` is the same byte followed by `k` zero
-/// bytes, so eight lookups advance the register by eight input bytes.
+/// The reflected CRC-32 polynomial (IEEE 802.3).
+const CRC_POLY: u32 = 0xedb8_8320;
+
+/// The slicing-by-8 lookup tables behind every [`crc32`] lane, computed at
+/// compile time. `CRC_TABLES[0][b]` is the CRC register after shifting byte
+/// `b` through the polynomial; `CRC_TABLES[k][b]` is the same byte followed
+/// by `k` zero bytes, so eight lookups advance a register by eight input
+/// bytes.
 const CRC_TABLES: [[u32; 256]; 8] = crc_tables();
 
 const fn crc_tables() -> [[u32; 256]; 8] {
@@ -236,7 +240,7 @@ const fn crc_tables() -> [[u32; 256]; 8] {
         let mut crc = b as u32;
         let mut bit = 0;
         while bit < 8 {
-            crc = (crc >> 1) ^ (0xedb8_8320 & (crc & 1).wrapping_neg());
+            crc = (crc >> 1) ^ (CRC_POLY & (crc & 1).wrapping_neg());
             bit += 1;
         }
         tables[0][b] = crc;
@@ -255,34 +259,133 @@ const fn crc_tables() -> [[u32; 256]; 8] {
     tables
 }
 
+/// `X2N_TABLE[k]` is x^(2^k) mod P in the reflected bit order of a CRC
+/// register (bit 31 is x^0), computed at compile time by repeated squaring.
+/// [`x8n_mod_p`] builds x^(8·len) mod P from it in one multiplication per
+/// set bit of `len`.
+const X2N_TABLE: [u32; 32] = x2n_table();
+
+const fn x2n_table() -> [u32; 32] {
+    let mut table = [0u32; 32];
+    let mut p = 1u32 << 30; // x^1
+    let mut k = 0;
+    while k < 32 {
+        table[k] = p;
+        p = mult_mod_p(p, p);
+        k += 1;
+    }
+    table
+}
+
+/// The product `a · b` mod P of two polynomials held as reflected CRC
+/// registers: one conditional XOR of `b · x^i` per coefficient of `a`.
+const fn mult_mod_p(a: u32, mut b: u32) -> u32 {
+    let mut product = 0;
+    let mut bit = 0;
+    while bit < 32 {
+        if a & (1 << (31 - bit)) != 0 {
+            product ^= b;
+        }
+        b = (b >> 1) ^ (CRC_POLY & (b & 1).wrapping_neg());
+        bit += 1;
+    }
+    product
+}
+
+/// x^(8·len) mod P: what a CRC register is multiplied by when `len` bytes
+/// follow it. This is zlib's `crc32_combine` rule: given the CRCs of `a`
+/// and `b`, the CRC of `a ‖ b` is `crc_a · x^(8·len_b) ⊕ crc_b` mod P. The
+/// rule is linear, so it joins raw lane registers the same way.
+fn x8n_mod_p(len: usize) -> u32 {
+    let mut p = 1u32 << 31; // x^0
+    let mut n = len;
+    let mut k = 3; // 8·len = len · x^(2^3)
+    while n != 0 {
+        if n & 1 != 0 {
+            p = mult_mod_p(X2N_TABLE[k & 31], p);
+        }
+        n >>= 1;
+        k += 1;
+    }
+    p
+}
+
+/// One slicing-by-8 step: the register `crc` advanced over one
+/// little-endian 8-byte word.
+#[inline]
+fn crc_step(t: &[[u32; 256]; 8], crc: u32, word: &[u8; 8]) -> u32 {
+    let w = u64::from_le_bytes(*word) ^ u64::from(crc);
+    t[7][(w & 0xff) as usize]
+        ^ t[6][((w >> 8) & 0xff) as usize]
+        ^ t[5][((w >> 16) & 0xff) as usize]
+        ^ t[4][((w >> 24) & 0xff) as usize]
+        ^ t[3][((w >> 32) & 0xff) as usize]
+        ^ t[2][((w >> 40) & 0xff) as usize]
+        ^ t[1][((w >> 48) & 0xff) as usize]
+        ^ t[0][(w >> 56) as usize]
+}
+
+/// The raw register `crc` advanced over `bytes` in one lane: slicing-by-8
+/// through [`CRC_TABLES`], then byte-at-a-time for the remainder.
+fn crc_update(mut crc: u32, bytes: &[u8]) -> u32 {
+    // A reference to the const is promoted to a static: no per-call copy.
+    let t: &'static [[u32; 256]; 8] = &CRC_TABLES;
+    let (words, rest) = bytes.as_chunks::<8>();
+    for word in words {
+        crc = crc_step(t, crc, word);
+    }
+    for &b in rest {
+        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
+    }
+    crc
+}
+
+/// Inputs shorter than this run in one lane: below it, joining four lanes
+/// costs more than their overlap saves.
+const CRC_LANE_CUTOFF: usize = 1024;
+
 /// CRC-32 (IEEE 802.3, reflected polynomial `0xEDB88320`) — the per-section
 /// payload checksum.
 ///
-/// Table-driven slicing-by-8: eight bytes per step through [`CRC_TABLES`],
-/// then byte-at-a-time for the remainder. The output is the standard CRC-32
-/// of the input, identical to the textbook bit-at-a-time loop for every
-/// input, so every checksum already on disk still verifies.
+/// An input of at least 1 KiB is split into four contiguous quarters of
+/// whole 8-byte words, and one slicing-by-8 register per quarter runs in a
+/// single loop, so the four table-lookup chains overlap instead of waiting
+/// on each other. The registers are joined by zlib's `crc32_combine` rule
+/// (multiply the left register by x^(8·quarter) mod P, XOR the right one),
+/// and the tail of at most 31 bytes, like any shorter input, runs through
+/// the single-lane loop of [`crc32_single_lane`]. The output is the
+/// standard CRC-32 of the input, identical to the textbook bit-at-a-time
+/// loop for every input, so every checksum already on disk still verifies.
 pub fn crc32(bytes: &[u8]) -> u32 {
-    // A reference to the const is promoted to a static: no per-call copy.
+    if bytes.len() < CRC_LANE_CUTOFF {
+        return crc32_single_lane(bytes);
+    }
+    let (words, _) = bytes.as_chunks::<8>();
+    let quarter = words.len() / 4;
+    let (ab, cd) = words[..4 * quarter].split_at(2 * quarter);
+    let ((a, b), (c, d)) = (ab.split_at(quarter), cd.split_at(quarter));
     let t: &'static [[u32; 256]; 8] = &CRC_TABLES;
-    let mut crc = 0xffff_ffffu32;
-    let mut chunks = bytes.chunks_exact(8);
-    for c in &mut chunks {
-        let lo = crc ^ u32::from_le_bytes([c[0], c[1], c[2], c[3]]);
-        let hi = u32::from_le_bytes([c[4], c[5], c[6], c[7]]);
-        crc = t[7][(lo & 0xff) as usize]
-            ^ t[6][((lo >> 8) & 0xff) as usize]
-            ^ t[5][((lo >> 16) & 0xff) as usize]
-            ^ t[4][(lo >> 24) as usize]
-            ^ t[3][(hi & 0xff) as usize]
-            ^ t[2][((hi >> 8) & 0xff) as usize]
-            ^ t[1][((hi >> 16) & 0xff) as usize]
-            ^ t[0][(hi >> 24) as usize];
+    // Lane 0 carries the standard preset; the others start from zero, so
+    // each holds the raw CRC of its quarter alone.
+    let mut reg = [0xffff_ffffu32, 0, 0, 0];
+    for (((wa, wb), wc), wd) in a.iter().zip(b).zip(c).zip(d) {
+        reg[0] = crc_step(t, reg[0], wa);
+        reg[1] = crc_step(t, reg[1], wb);
+        reg[2] = crc_step(t, reg[2], wc);
+        reg[3] = crc_step(t, reg[3], wd);
     }
-    for &b in chunks.remainder() {
-        crc = (crc >> 8) ^ t[0][((crc ^ u32::from(b)) & 0xff) as usize];
-    }
-    !crc
+    let shift = x8n_mod_p(8 * quarter);
+    let joined = reg[1..]
+        .iter()
+        .fold(reg[0], |crc, &lane| mult_mod_p(shift, crc) ^ lane);
+    !crc_update(joined, &bytes[32 * quarter..])
+}
+
+/// CRC-32 in one slicing-by-8 lane: the loop [`crc32`] runs on short inputs
+/// and on its tail, kept public as the baseline `wall_sweep` times the four
+/// lanes against. Same output as [`crc32`] for every input.
+pub fn crc32_single_lane(bytes: &[u8]) -> u32 {
+    !crc_update(0xffff_ffff, bytes)
 }
 
 /// Little-endian byte sink used by every encoder.
@@ -1736,6 +1839,65 @@ mod tests {
             let end = bytes.len().saturating_sub(trim).max(start);
             let sub = &bytes[start..end];
             prop_assert_eq!(crc32(sub), crc32_bitwise(sub));
+        }
+    }
+
+    /// zlib's `crc32_combine`: the rule [`crc32`] joins its lanes with.
+    fn crc32_combine(crc_a: u32, crc_b: u32, len_b: usize) -> u32 {
+        mult_mod_p(x8n_mod_p(len_b), crc_a) ^ crc_b
+    }
+
+    #[test]
+    fn x2n_table_repeats_with_period_32() {
+        // `x8n_mod_p` indexes the table cyclically for lengths of 2^29
+        // bytes or more: x^(2^32) = x mod P.
+        assert_eq!(mult_mod_p(X2N_TABLE[31], X2N_TABLE[31]), X2N_TABLE[0]);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(8))]
+
+        // Every length 0..=2048: one lane below the cutoff, four above it,
+        // and every tail of 0..=31 bytes after the four quarters.
+        #[test]
+        fn crc32_matches_bitwise_reference_at_every_length_to_2048(
+            bytes in proptest::collection::vec(0u8..=255, 2048)
+        ) {
+            for len in 0..=bytes.len() {
+                prop_assert_eq!(crc32(&bytes[..len]), crc32_bitwise(&bytes[..len]));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(4))]
+
+        // A block-sized input read at every start offset 0..8, so every
+        // lane's words straddle each alignment.
+        #[test]
+        fn crc32_matches_bitwise_reference_at_every_start_offset_of_a_block(
+            bytes in proptest::collection::vec(0u8..=255, 300_000)
+        ) {
+            for start in 0..8 {
+                prop_assert_eq!(crc32(&bytes[start..]), crc32_bitwise(&bytes[start..]));
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        // The lane join: any split, either half empty included.
+        #[test]
+        fn combine_joins_the_crcs_of_two_halves(
+            bytes in proptest::collection::vec(0u8..=255, 0..=4096),
+            split_frac in 0.0f64..=1.0
+        ) {
+            let mid = (bytes.len() as f64 * split_frac) as usize;
+            for split in [0, mid.min(bytes.len()), bytes.len()] {
+                let (a, b) = bytes.split_at(split);
+                prop_assert_eq!(crc32_combine(crc32(a), crc32(b), b.len()), crc32(&bytes));
+            }
         }
     }
 

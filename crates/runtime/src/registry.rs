@@ -661,7 +661,7 @@ impl ModelRegistry {
                 slo,
             },
         );
-        self.stats.loads += 1;
+        self.stats.loads = self.stats.loads.saturating_add(1);
         self.loaded_bytes += resident_bytes;
         self.note_peak();
         self.enforce_budget(Some(id), now);
@@ -766,7 +766,7 @@ impl ModelRegistry {
             });
         }
         self.install_entry(id, snapshot, slo, loaded, now);
-        self.stats.swaps += 1;
+        self.stats.swaps = self.stats.swaps.saturating_add(1);
         Ok(())
     }
 
@@ -888,8 +888,8 @@ impl ModelRegistry {
             Residency::Whole(slot @ None) => {
                 let m = (self.loader)(&snapshot)?;
                 *slot = Some(Arc::clone(&m));
-                self.stats.loads += 1;
-                self.stats.reloads += 1;
+                self.stats.loads = self.stats.loads.saturating_add(1);
+                self.stats.reloads = self.stats.reloads.saturating_add(1);
                 self.loaded_bytes += snapshot.len() as u64;
                 self.note_peak();
                 m
@@ -964,7 +964,7 @@ impl ModelRegistry {
                 }
             }
         }
-        self.stats.evictions += 1;
+        self.stats.evictions = self.stats.evictions.saturating_add(1);
         true
     }
 
@@ -1016,8 +1016,8 @@ impl ModelRegistry {
             ticks = paged.paging.fault_ticks(bytes);
             self.loaded_bytes += bytes;
             self.note_peak();
-            self.stats.blocks_faulted += 1;
-            self.stats.bytes_faulted += bytes;
+            self.stats.blocks_faulted = self.stats.blocks_faulted.saturating_add(1);
+            self.stats.bytes_faulted = self.stats.bytes_faulted.saturating_add(bytes);
         }
         if let Some(Residency::Paged { stamps, .. }) =
             self.entries.get_mut(id).map(|e| &mut e.residency)
@@ -2074,6 +2074,38 @@ mod tests {
             .unwrap();
         assert_eq!(report.per_model["m"].batches, 3);
         assert_eq!(report.per_model["m"].busy_ticks, u64::MAX);
+    }
+
+    #[test]
+    fn lifetime_counters_saturate_instead_of_wrapping() {
+        // Each counter starts at `u64::MAX` and its path runs once: a plain
+        // add panics in a debug build and wraps to 0 in a release build.
+        let (a, b) = (pd_snapshot(8, 70), pd_snapshot(8, 71));
+        let mut reg = ModelRegistry::new(tensor_loader(), a.len() as u64);
+        reg.stats.loads = u64::MAX;
+        reg.insert("a", a).unwrap();
+        reg.stats.evictions = u64::MAX;
+        reg.insert("b", b).unwrap();
+        assert!(!reg.is_resident("a"), "the budget holds one model");
+        reg.stats.reloads = u64::MAX;
+        let _ = reg.model("a").unwrap();
+        reg.stats.swaps = u64::MAX;
+        reg.swap("a", pd_snapshot(8, 72)).unwrap();
+        let s = reg.stats();
+        assert_eq!(
+            (s.loads, s.reloads, s.evictions, s.swaps),
+            (u64::MAX, u64::MAX, u64::MAX, u64::MAX)
+        );
+
+        let blocked = block_stream_snapshot(&pd_snapshot(8, 73)).unwrap();
+        let mut paged = ModelRegistry::new_paged(tensor_loader(), paged_cfg(), u64::MAX);
+        paged.insert("p", blocked).unwrap();
+        paged.stats.blocks_faulted = u64::MAX;
+        paged.stats.bytes_faulted = u64::MAX;
+        paged.fault_stage("p", 0, Now::IDLE).unwrap();
+        assert_eq!(paged.resident_blocks("p"), Some(1));
+        let s = paged.stats();
+        assert_eq!((s.blocks_faulted, s.bytes_faulted), (u64::MAX, u64::MAX));
     }
 
     #[test]

@@ -17,10 +17,11 @@
 //! (batch > 1 on more than one worker) and the per-request output vectors
 //! the serving loops hand back.
 //!
-//! One block fault is pinned too: decoding a 512² circulant block (k = 8,
+//! Block faults are pinned too. Checking and decoding one 512² block
+//! through `load_block` makes at most 32 allocations for circulant (k = 8,
 //! 4,096 circulant blocks, the wall-clock benchmark's paged circulant
-//! layer) through `load_block` makes at most 32 allocations, whatever its
-//! block count.
+//! layer, whatever its block count), 24 for PD p=4 and 28 for q16 PD p=8
+//! (20 and 24 measured), and the `crc32` each fault runs makes none.
 //!
 //! This file holds the workspace's only `unsafe` code: the `GlobalAlloc`
 //! impl, which forwards every call to `System`.
@@ -30,7 +31,7 @@ use std::cell::Cell;
 use std::sync::Arc;
 
 use permdnn::core::format::{BatchView, FormatError};
-use permdnn::core::snapshot::{block_stream_snapshot, load_block};
+use permdnn::core::snapshot::{block_stream_snapshot, crc32, load_block};
 use permdnn::nn::layers::WeightFormat;
 use permdnn::nn::snapshot::{codec, load_paged_model};
 use permdnn::nn::MlpClassifier;
@@ -99,18 +100,23 @@ fn the_counter_sees_this_threads_allocations() {
 const IN_DIM: usize = 64;
 const CLASSES: usize = 10;
 
+/// Sixteen fixed `dim`-wide inputs to calibrate a quantized MLP on.
+fn calibration(dim: usize) -> Vec<Vec<f32>> {
+    (0..16)
+        .map(|i| {
+            (0..dim)
+                .map(|j| ((i * dim + j) as f32 * 0.37).sin())
+                .collect()
+        })
+        .collect()
+}
+
 /// One frozen MLP per format the wall-clock benchmark serves, at a small
 /// shape.
 fn models() -> Vec<(&'static str, MlpClassifier)> {
     let rng = &mut seeded_rng(0xA110C);
     let mut mlp = |format| MlpClassifier::new_frozen(IN_DIM, &[64, 64], CLASSES, format, rng);
-    let calibration: Vec<Vec<f32>> = (0..16)
-        .map(|i| {
-            (0..IN_DIM)
-                .map(|j| ((i * IN_DIM + j) as f32 * 0.37).sin())
-                .collect()
-        })
-        .collect();
+    let calibration = calibration(IN_DIM);
     vec![
         ("pd_p8", mlp(WeightFormat::PermutedDiagonal { p: 8 })),
         ("pd_p4", mlp(WeightFormat::PermutedDiagonal { p: 4 })),
@@ -216,26 +222,55 @@ fn single_layer_model_allocates_nothing_per_batch() {
     }
 }
 
-#[test]
-fn a_circulant_block_fault_allocates_a_bounded_number_of_times() {
-    let rng = &mut seeded_rng(0xC1C);
-    let model = MlpClassifier::new_frozen(
-        512,
-        &[512, 512],
-        CLASSES,
-        WeightFormat::Circulant { k: 8 },
-        rng,
-    );
+/// A 512-wide frozen MLP with two 512x512 hidden layers in `format`.
+fn wide_mlp(format: WeightFormat, seed: u64) -> MlpClassifier {
+    MlpClassifier::new_frozen(512, &[512, 512], CLASSES, format, &mut seeded_rng(seed))
+}
+
+/// Allocations per warm `load_block` of `model`'s first stage, a paged
+/// 512x512 layer, checked and decoded from its block-streamed snapshot.
+fn first_block_fault_allocations(model: &MlpClassifier) -> u64 {
     let blocked = block_stream_snapshot(&model.save().unwrap()).unwrap();
     let (block, _) = load_paged_model(&blocked)
         .unwrap()
         .stage_block(0)
-        .expect("the first stage is a paged 512x512 circulant layer");
+        .expect("the first stage is a paged 512x512 layer");
     let codec = codec();
     let op = load_block(&blocked, block, &codec).unwrap();
     assert_eq!((op.out_dim(), op.in_dim()), (512, 512));
-    let n = allocations_per_call(|| {
+    allocations_per_call(|| {
         std::hint::black_box(load_block(&blocked, block, &codec).unwrap());
-    });
+    })
+}
+
+#[test]
+fn a_circulant_block_fault_allocates_a_bounded_number_of_times() {
+    let model = wide_mlp(WeightFormat::Circulant { k: 8 }, 0xC1C);
+    let n = first_block_fault_allocations(&model);
     assert!(n <= 32, "{n} allocations per warm circulant block load");
+}
+
+#[test]
+fn a_pd_block_fault_allocates_a_bounded_number_of_times() {
+    let model = wide_mlp(WeightFormat::PermutedDiagonal { p: 4 }, 0x9D4);
+    let n = first_block_fault_allocations(&model);
+    assert!(n <= 24, "{n} allocations per warm PD p=4 block load");
+}
+
+#[test]
+fn a_q16_pd_block_fault_allocates_a_bounded_number_of_times() {
+    let model = wide_mlp(WeightFormat::PermutedDiagonal { p: 8 }, 0x916)
+        .quantize(&calibration(512))
+        .0;
+    let n = first_block_fault_allocations(&model);
+    assert!(n <= 28, "{n} allocations per warm q16 PD p=8 block load");
+}
+
+#[test]
+fn crc32_allocates_nothing() {
+    let bytes: Vec<u8> = (0..288 * 1024).map(|i| (i * 31 % 251) as u8).collect();
+    let n = allocations_per_call(|| {
+        std::hint::black_box(crc32(std::hint::black_box(&bytes)));
+    });
+    assert_eq!(n, 0, "{n} allocations per 288 KiB checksum");
 }

@@ -162,6 +162,57 @@ proptest! {
     }
 }
 
+/// `crc32` checks a payload in four lanes, one per quarter of its whole
+/// 8-byte words, plus a single-lane tail of under 32 bytes. A flipped bit
+/// in any lane's quarter, or in the tail, of a real 512² PD p=4 block is
+/// that block's checksum mismatch, and the model's other blocks still fault
+/// in.
+#[test]
+fn a_flip_in_any_crc_lane_of_a_real_block_fails_only_that_block() {
+    let model = MlpClassifier::new_frozen(
+        512,
+        &[512, 512],
+        10,
+        WeightFormat::PermutedDiagonal { p: 4 },
+        &mut seeded_rng(0x1a4e),
+    );
+    let blocked = block_stream_snapshot(&model.save().unwrap()).unwrap();
+    let index = read_block_index(&blocked).unwrap();
+    let (k, block) = index
+        .blocks
+        .iter()
+        .enumerate()
+        .find(|(_, e)| e.len == 294_926)
+        .expect("a 512x512 PD p=4 weight block");
+    let len = block.len as usize;
+    let quarter = len / 32 * 8;
+    let tail = len - 4 * quarter;
+    assert!(tail > 0, "the block has a tail after its four quarters");
+    let codec = codec();
+    let flips = (0..4)
+        .map(|lane| lane * quarter + quarter / 2)
+        .chain([4 * quarter + tail / 2]);
+    for (i, at) in flips.enumerate() {
+        let mut corrupt = blocked.clone();
+        corrupt[block.offset as usize + at] ^= 1 << (i % 8);
+        let fault = load_block(&corrupt, k, &codec);
+        assert!(
+            matches!(
+                &fault,
+                Err(SnapshotError::ChecksumMismatch { section, .. }) if *section == block.name
+            ),
+            "flip at payload byte {at} of {len}: got {:?}",
+            fault.as_ref().err()
+        );
+        for other in (0..index.len()).filter(|&o| o != k) {
+            assert!(
+                load_block(&corrupt, other, &codec).is_ok(),
+                "flip in block {k} must not affect block {other}"
+            );
+        }
+    }
+}
+
 // ---------------------------------------------------------------------------
 // 2. Paged ≡ whole across generators × policies × workers.
 // ---------------------------------------------------------------------------
