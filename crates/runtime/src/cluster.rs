@@ -28,9 +28,10 @@
 //! [`schedule`](crate::slo) pass `serve_traffic` uses, on the whole-model
 //! cost at the reference worker count — so the shed set and the execution
 //! order are pure functions of the offered streams and the policy, never of
-//! the topology or the executing worker count. Every topology only executes
-//! that schedule: row-sharded and pipeline hosts run its batches in its
-//! order, and replicated hosts re-schedule their routed substream with
+//! the topology or the executing worker count. Every topology executes that
+//! one global schedule through its hosts' registry loop, the one
+//! `serve_traffic` runs: row-sharded and pipeline hosts run its batches in
+//! its order, and replicated hosts re-schedule their routed substream with
 //! shedding off. Per-request outputs are batch-composition-independent (each
 //! example's forward pass reads only its own row of the batch), which is why
 //! per-host batching cannot perturb them. Only completion *ticks* change with
@@ -44,16 +45,15 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pd_tensor::Matrix;
-use permdnn_core::format::{check_dim, BatchView, FormatError};
+use permdnn_core::format::{BatchView, FormatError};
 use permdnn_core::snapshot::split_tensor_rows;
 
 use crate::executor::ParallelExecutor;
 use crate::registry::{
-    ModelLoader, ModelRegistry, RegistryError, RegistryStats, TaggedCompletion, TaggedRequest,
+    ModelLoader, ModelRegistry, MultiServeReport, RegistryError, RegistryStats, TaggedCompletion,
+    TaggedRequest,
 };
-use crate::serve::{
-    latency_percentiles, makespan, per_second, BatchModel, CompletedRequest, ServeConfig,
-};
+use crate::serve::{latency_percentiles, makespan, per_second, BatchModel, ServeConfig};
 use crate::slo::{
     schedule, ModelCost, Rejection, ScheduledBatch, SloTally, SloTarget, TrafficConfig,
 };
@@ -187,19 +187,14 @@ pub enum ClusterTopology {
     },
 }
 
-/// Cluster-wide bookkeeping for one model: the whole-model geometry and cost
-/// (what admission and ordering key on) plus the per-host partition.
+/// Cluster-wide bookkeeping for one model: the whole-model cost (what
+/// admission and ordering key on) plus each host's share of it.
 #[derive(Debug, Clone)]
 struct ClusterModelMeta {
-    in_dim: usize,
-    out_dim: usize,
     /// Whole-model multiplies per example — the admission/ordering cost, the
     /// same number a single host would use.
     mul_count: u64,
     slo: Option<SloTarget>,
-    /// Output width each host contributes (row-shard slice heights, or
-    /// pipeline stage output widths; one whole-model entry when replicated).
-    part_out_dims: Vec<usize>,
     /// Multiplies per example each host spends.
     part_muls: Vec<u64>,
 }
@@ -219,6 +214,27 @@ pub struct HostStats {
     /// [`RegistryStats`]; counter fields are run deltas).
     pub registry: RegistryStats,
 }
+
+impl HostStats {
+    /// A host's tallies from its registry's report of the run, for every
+    /// topology.
+    fn of(report: &MultiServeReport) -> Self {
+        let mut stats = HostStats {
+            registry: report.stats,
+            ..HostStats::default()
+        };
+        for tally in report.per_model.values() {
+            stats.served += tally.served;
+            stats.batches += tally.batches;
+            stats.busy_ticks = stats.busy_ticks.saturating_add(tally.busy_ticks);
+        }
+        stats
+    }
+}
+
+/// What each topology's dispatch returns: the served requests, the per-host
+/// tallies and the final tick.
+type Dispatch = (Vec<TaggedCompletion>, Vec<HostStats>, u64);
 
 /// The outcome of one [`Cluster::serve_traffic`] run.
 #[derive(Debug, Clone, PartialEq)]
@@ -495,66 +511,14 @@ impl Cluster {
         snapshot: Vec<u8>,
         slo: Option<SloTarget>,
     ) -> Result<(), ClusterError> {
-        match self.topology {
-            ClusterTopology::Replicated { .. } => {
-                for k in 0..self.hosts.len() {
-                    if let Err(e) = self.hosts[k].insert(id, snapshot.clone()) {
-                        self.rollback(id);
-                        return Err(e.into());
-                    }
-                    // Replicas keep the SLO locally: batch ordering inside a
-                    // host reads priorities/deadlines from its own registry.
-                    self.hosts[k]
-                        .set_slo(id, slo)
-                        .expect("model was just inserted");
-                }
-                let (in_dim, out_dim) = self.hosts[0].dims(id).expect("just inserted");
-                let mul_count = self.hosts[0].mul_count(id).expect("just inserted");
-                self.models.insert(
-                    id.to_string(),
-                    ClusterModelMeta {
-                        in_dim,
-                        out_dim,
-                        mul_count,
-                        slo,
-                        part_out_dims: vec![out_dim],
-                        part_muls: vec![mul_count],
-                    },
-                );
-                Ok(())
+        let parts = match self.topology {
+            ClusterTopology::Replicated { replicas, .. } => vec![snapshot; replicas],
+            ClusterTopology::RowSharded { shards } => split_tensor_rows(&snapshot, shards)?,
+            ClusterTopology::Pipeline { .. } => {
+                return Err(ClusterError::WrongTopology { op: "insert" })
             }
-            ClusterTopology::RowSharded { shards } => {
-                let pieces = split_tensor_rows(&snapshot, shards)?;
-                for (k, piece) in pieces.into_iter().enumerate() {
-                    if let Err(e) = self.hosts[k].insert(id, piece) {
-                        self.rollback(id);
-                        return Err(e.into());
-                    }
-                }
-                let (in_dim, _) = self.hosts[0].dims(id).expect("just inserted");
-                let part_out_dims: Vec<usize> = (0..shards)
-                    .map(|k| self.hosts[k].dims(id).expect("just inserted").1)
-                    .collect();
-                let part_muls: Vec<u64> = (0..shards)
-                    .map(|k| self.hosts[k].mul_count(id).expect("just inserted"))
-                    .collect();
-                self.models.insert(
-                    id.to_string(),
-                    ClusterModelMeta {
-                        in_dim,
-                        out_dim: part_out_dims.iter().sum(),
-                        // The whole-model cost is the sum of the slice costs:
-                        // row slices partition the stored weights exactly.
-                        mul_count: saturating_sum(part_muls.iter().copied()),
-                        slo,
-                        part_out_dims,
-                        part_muls,
-                    },
-                );
-                Ok(())
-            }
-            ClusterTopology::Pipeline { .. } => Err(ClusterError::WrongTopology { op: "insert" }),
-        }
+        };
+        self.insert_parts(id, parts, slo)
     }
 
     /// Registers a model on a pipeline cluster: one stage snapshot per host,
@@ -585,45 +549,66 @@ impl Cluster {
                 got: stage_snapshots.len(),
             });
         }
-        for (k, snapshot) in stage_snapshots.into_iter().enumerate() {
-            if let Err(e) = self.hosts[k].insert(id, snapshot) {
+        self.insert_parts(id, stage_snapshots, slo)
+    }
+
+    /// Inserts part `k` on host `k` (a pipeline stage must chain to the one
+    /// before it), then records the model's meta. Every host keeps the SLO:
+    /// a replica orders its own substream by it. On any failure the id is
+    /// rolled back from every host.
+    fn insert_parts(
+        &mut self,
+        id: &str,
+        parts: Vec<Vec<u8>>,
+        slo: Option<SloTarget>,
+    ) -> Result<(), ClusterError> {
+        for (k, part) in parts.into_iter().enumerate() {
+            let inserted = self.hosts[k].insert(id, part).map_err(ClusterError::from);
+            if let Err(e) = inserted.and_then(|()| self.check_chain(id, k)) {
                 self.rollback(id);
-                return Err(e.into());
+                return Err(e);
             }
-            let (stage_in, _) = self.hosts[k].dims(id).expect("just inserted");
-            if k > 0 {
-                let (_, upstream_out) = self.hosts[k - 1].dims(id).expect("inserted earlier");
-                if stage_in != upstream_out {
-                    self.rollback(id);
-                    return Err(ClusterError::StageChainMismatch {
-                        id: id.to_string(),
-                        stage: k,
-                        expected: upstream_out,
-                        got: stage_in,
-                    });
-                }
-            }
+            self.hosts[k].set_slo(id, slo).expect("just inserted");
         }
-        let (in_dim, _) = self.hosts[0].dims(id).expect("just inserted");
-        let (_, out_dim) = self.hosts[stages - 1].dims(id).expect("just inserted");
-        let part_out_dims: Vec<usize> = (0..stages)
-            .map(|k| self.hosts[k].dims(id).expect("just inserted").1)
+        let part_muls: Vec<u64> = self
+            .hosts
+            .iter()
+            .map(|host| host.mul_count(id).expect("every host holds a part"))
             .collect();
-        let part_muls: Vec<u64> = (0..stages)
-            .map(|k| self.hosts[k].mul_count(id).expect("just inserted"))
-            .collect();
-        self.models.insert(
-            id.to_string(),
-            ClusterModelMeta {
-                in_dim,
-                out_dim,
-                mul_count: saturating_sum(part_muls.iter().copied()),
-                slo,
-                part_out_dims,
-                part_muls,
-            },
-        );
+        let mul_count = match self.topology {
+            // Every replica holds the whole model.
+            ClusterTopology::Replicated { .. } => part_muls[0],
+            // Row slices partition the stored weights exactly, and pipeline
+            // stages run one after another.
+            _ => saturating_sum(part_muls.iter().copied()),
+        };
+        let meta = ClusterModelMeta {
+            mul_count,
+            slo,
+            part_muls,
+        };
+        self.models.insert(id.to_string(), meta);
         Ok(())
+    }
+
+    /// On a pipeline cluster, stage `k` of `id` must take the width stage
+    /// `k - 1` emits; other topologies chain nothing.
+    fn check_chain(&self, id: &str, k: usize) -> Result<(), ClusterError> {
+        let (ClusterTopology::Pipeline { .. }, Some(upstream)) = (self.topology, k.checked_sub(1))
+        else {
+            return Ok(());
+        };
+        let (got, _) = self.hosts[k].dims(id).expect("just inserted");
+        let (_, expected) = self.hosts[upstream].dims(id).expect("inserted earlier");
+        if got == expected {
+            return Ok(());
+        }
+        Err(ClusterError::StageChainMismatch {
+            id: id.to_string(),
+            stage: k,
+            expected,
+            got,
+        })
     }
 
     fn rollback(&mut self, id: &str) {
@@ -682,11 +667,13 @@ impl Cluster {
     /// the whole-model cost at the reference worker count — the one schedule
     /// [`ModelRegistry::serve_traffic`] computes — so the shed set and
     /// execution order match the single-host run exactly, for every
-    /// topology. Dispatch then follows the topology: replicated hosts serve
-    /// disjoint routed substreams on independent timelines; row-sharded hosts
-    /// run every batch in lockstep (a batch completes when the slowest slice
-    /// does); pipeline hosts overlap consecutive batches stage-by-stage with
-    /// `link_ticks` per hop.
+    /// topology. Every topology then executes that one global schedule
+    /// through its hosts' registry loop: replicated hosts serve disjoint
+    /// routed substreams on independent timelines; row-sharded hosts run
+    /// every batch in lockstep (a batch completes when the slowest slice
+    /// does); pipeline host `k` runs each batch once host `k - 1`'s
+    /// activations arrive, `link_ticks` after it finished, so consecutive
+    /// batches overlap across stages.
     ///
     /// `requests` must be sorted by arrival tick
     /// ([`interleave_streams`](crate::interleave_streams) produces this
@@ -719,15 +706,11 @@ impl Cluster {
                 self.run_replicated(exec, cfg, first_arrival_tick, batches)?
             }
             ClusterTopology::RowSharded { .. } => {
-                self.run_lockstep(exec, &cfg.serve, first_arrival_tick, batches, None)?
+                self.run_row_sharded(exec, &cfg.serve, first_arrival_tick, batches)?
             }
-            ClusterTopology::Pipeline { link_ticks, .. } => self.run_lockstep(
-                exec,
-                &cfg.serve,
-                first_arrival_tick,
-                batches,
-                Some(link_ticks),
-            )?,
+            ClusterTopology::Pipeline { link_ticks, .. } => {
+                self.run_pipeline(exec, &cfg.serve, first_arrival_tick, batches, link_ticks)?
+            }
         };
 
         completed.sort_by(|a, b| (&a.model_id, a.completed.id).cmp(&(&b.model_id, b.completed.id)));
@@ -746,17 +729,15 @@ impl Cluster {
     /// Replicated dispatch: rebuild each model's admitted stream from its
     /// batches in plan order, split it by routing hash, and let each host
     /// re-schedule and serve its substream (admission already done, so no
-    /// shedding). The final tick is seeded at the stream start, as in
-    /// `run_lockstep`, so a run where admission shed everything has a zero
-    /// makespan.
-    #[allow(clippy::type_complexity)]
+    /// shedding). The final tick is seeded at the stream start, so a run
+    /// where admission shed everything has a zero makespan.
     fn run_replicated(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &TrafficConfig,
         first_arrival_tick: u64,
         mut batches: Vec<ScheduledBatch>,
-    ) -> Result<(Vec<TaggedCompletion>, Vec<HostStats>, u64), ClusterError> {
+    ) -> Result<Dispatch, ClusterError> {
         batches.sort_by(|a, b| (&a.model_id, a.seq).cmp(&(&b.model_id, b.seq)));
         let mut per_host_requests: Vec<Vec<TaggedRequest>> = vec![Vec::new(); self.hosts.len()];
         for batch in batches {
@@ -775,16 +756,7 @@ impl Cluster {
         for (host, substream) in self.hosts.iter_mut().zip(per_host_requests) {
             let empty = substream.is_empty();
             let report = host.serve_admitted(exec, &cfg.serve, cfg.policy, substream)?;
-            let mut stats = HostStats {
-                registry: report.stats,
-                ..HostStats::default()
-            };
-            for tally in report.per_model.values() {
-                stats.served += tally.served;
-                stats.batches += tally.batches;
-                stats.busy_ticks = stats.busy_ticks.saturating_add(tally.busy_ticks);
-            }
-            per_host.push(stats);
+            per_host.push(HostStats::of(&report));
             if !empty {
                 final_tick = final_tick.max(report.final_tick);
             }
@@ -793,123 +765,81 @@ impl Cluster {
         Ok((completed, per_host, final_tick))
     }
 
-    /// Row-sharded (`link_ticks == None`) and pipeline (`Some`) dispatch:
-    /// the global schedule's batches, in its order, executed with every host
-    /// participating in every batch.
-    #[allow(clippy::type_complexity)]
-    fn run_lockstep(
+    /// Row-sharded dispatch: every host executes the schedule's batches on
+    /// its own row slice, and each request's output joins the slices in host
+    /// order. The shards run in lockstep, so a batch lasts as long as its
+    /// slowest slice: the single-engine rule at the largest slice's
+    /// multiplies, since `ServiceModel::batch_ticks` never falls as the
+    /// multiplies grow. One fold of that rule stamps the completion ticks.
+    fn run_row_sharded(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &ServeConfig,
         first_arrival_tick: u64,
         batches: Vec<ScheduledBatch>,
-        link_ticks: Option<u64>,
-    ) -> Result<(Vec<TaggedCompletion>, Vec<HostStats>, u64), ClusterError> {
-        let hosts = self.hosts.len();
-        let mut per_host = vec![HostStats::default(); hosts];
-        let registry_before: Vec<RegistryStats> =
-            self.hosts.iter_mut().map(|h| h.begin_run()).collect();
-        // Row-sharded hosts share one engine timeline (lockstep); pipeline
-        // hosts each own a stage timeline, seeded at the stream start.
-        let mut stage_free = vec![first_arrival_tick; hosts];
-        let mut final_tick = first_arrival_tick;
-        let mut completed = Vec::new();
-        let mut input: Vec<f32> = Vec::new();
-        let mut stage_out = Matrix::zeros(0, 0);
-        for plan in batches {
-            let id = plan.model_id;
-            let meta = self.models[&id].clone();
-            let batch = plan.requests.len();
-            let part_ticks = |k: usize| {
-                cfg.service.batch_ticks(
-                    meta.part_muls[k].saturating_mul(batch as u64),
-                    exec.workers(),
-                )
-            };
-
-            input.clear();
-            for request in &plan.requests {
-                check_dim("cluster", meta.in_dim, request.input.len())?;
-                input.extend_from_slice(&request.input);
+    ) -> Result<Dispatch, ClusterError> {
+        let mut per_host = Vec::with_capacity(self.hosts.len());
+        let mut completed: Vec<TaggedCompletion> = Vec::new();
+        for (k, host) in self.hosts.iter_mut().enumerate() {
+            let report = host.execute(exec, cfg, first_arrival_tick, batches.clone())?;
+            per_host.push(HostStats::of(&report));
+            if k == 0 {
+                completed = report.completed;
+                continue;
             }
-
-            let completion_tick = match link_ticks {
-                None => {
-                    // Row shards: every host computes its row slice of the
-                    // same batch; the batch completes when the slowest slice
-                    // does, and the shared engine frees then.
-                    let start = plan.close_tick.max(stage_free[0]);
-                    let xs = BatchView::new(&input, batch, meta.in_dim)?;
-                    let mut full = vec![0.0f32; batch * meta.out_dim];
-                    let mut slowest = 0;
-                    let mut row_off = 0;
-                    for (k, host_stats) in per_host.iter_mut().enumerate() {
-                        let model = self.hosts[k].model(&id)?;
-                        model.forward_batch_into(&xs, exec, &mut stage_out)?;
-                        let width = meta.part_out_dims[k];
-                        for i in 0..batch {
-                            let dst = i * meta.out_dim + row_off;
-                            full[dst..dst + width].copy_from_slice(stage_out.row(i));
-                        }
-                        let ticks = part_ticks(k);
-                        host_stats.served += batch;
-                        host_stats.batches += 1;
-                        host_stats.busy_ticks = host_stats.busy_ticks.saturating_add(ticks);
-                        slowest = slowest.max(ticks);
-                        row_off += width;
-                    }
-                    let completion = start.saturating_add(slowest);
-                    stage_free.fill(completion);
-                    input.clear();
-                    input.extend_from_slice(&full);
-                    completion
-                }
-                Some(link) => {
-                    // Pipeline: the batch flows host to host; stage k starts
-                    // when its activations arrive *and* the stage is free,
-                    // so consecutive batches overlap across stages.
-                    let mut ready = plan.close_tick;
-                    let mut end = ready;
-                    let mut cur_dim = meta.in_dim;
-                    for k in 0..hosts {
-                        let model = self.hosts[k].model(&id)?;
-                        let xs = BatchView::new(&input, batch, cur_dim)?;
-                        model.forward_batch_into(&xs, exec, &mut stage_out)?;
-                        input.clear();
-                        input.extend_from_slice(stage_out.as_slice());
-                        cur_dim = meta.part_out_dims[k];
-
-                        let ticks = part_ticks(k);
-                        let start = ready.max(stage_free[k]);
-                        end = start.saturating_add(ticks);
-                        stage_free[k] = end;
-                        ready = end.saturating_add(link);
-                        per_host[k].served += batch;
-                        per_host[k].batches += 1;
-                        per_host[k].busy_ticks = per_host[k].busy_ticks.saturating_add(ticks);
-                    }
-                    end
-                }
-            };
-            final_tick = final_tick.max(completion_tick);
-
-            for (i, request) in plan.requests.into_iter().enumerate() {
-                completed.push(TaggedCompletion {
-                    model_id: id.clone(),
-                    completed: CompletedRequest {
-                        id: request.id,
-                        arrival_tick: request.arrival_tick,
-                        completion_tick,
-                        batch_size: batch,
-                        output: input[i * meta.out_dim..(i + 1) * meta.out_dim].to_vec(),
-                    },
-                });
+            for (whole, slice) in completed.iter_mut().zip(report.completed) {
+                whole.completed.output.extend(slice.completed.output);
             }
         }
-        for ((stats, host), before) in per_host.iter_mut().zip(&self.hosts).zip(registry_before) {
-            stats.registry = host.run_stats(before);
+
+        let mut engine_free = first_arrival_tick;
+        let mut members = completed.iter_mut();
+        for batch in &batches {
+            let slowest = self.models[&batch.model_id].part_muls.iter().max();
+            let muls = slowest.map_or(0, |m| m.saturating_mul(batch.requests.len() as u64));
+            let ticks = cfg.service.batch_ticks(muls, exec.workers());
+            engine_free = batch.close_tick.max(engine_free).saturating_add(ticks);
+            for done in members.by_ref().take(batch.requests.len()) {
+                done.completed.completion_tick = engine_free;
+            }
         }
-        Ok((completed, per_host, final_tick))
+        Ok((completed, per_host, engine_free))
+    }
+
+    /// Pipeline dispatch: host `k` executes the schedule's batches on stage
+    /// `k`, each member's input replaced by host `k - 1`'s output and each
+    /// batch closing when those activations arrive, `link_ticks` after host
+    /// `k - 1` completed it. That is the hardware pipeline's recurrence
+    /// evaluated stage by stage; the last stage's completions are the
+    /// requests'.
+    fn run_pipeline(
+        &mut self,
+        exec: &ParallelExecutor,
+        cfg: &ServeConfig,
+        first_arrival_tick: u64,
+        mut batches: Vec<ScheduledBatch>,
+        link_ticks: u64,
+    ) -> Result<Dispatch, ClusterError> {
+        let mut per_host = Vec::with_capacity(self.hosts.len());
+        let mut upstream: Option<MultiServeReport> = None;
+        for host in &mut self.hosts {
+            if let Some(report) = upstream.take() {
+                let mut arrived = report.completed.into_iter();
+                for batch in &mut batches {
+                    for request in &mut batch.requests {
+                        let done = arrived.next().expect("each member completed upstream");
+                        request.input = done.completed.output;
+                        batch.close_tick =
+                            done.completed.completion_tick.saturating_add(link_ticks);
+                    }
+                }
+            }
+            let report = host.execute(exec, cfg, first_arrival_tick, batches.clone())?;
+            per_host.push(HostStats::of(&report));
+            upstream = Some(report);
+        }
+        let last = upstream.expect("a cluster has at least one host");
+        Ok((last.completed, per_host, last.final_tick))
     }
 }
 

@@ -28,13 +28,14 @@
 //!   [`ZipfMix`]), per-model [`SloTarget`]s, and admission control + policy-
 //!   driven batch ordering ([`ModelRegistry::serve_traffic`]) whose decisions
 //!   are bit-identical for any worker count. Routing, admission, batch
-//!   planning and ordering are one pure scheduling pass in [`slo`], and one
-//!   schedule feeds every serving loop: the registry's and each cluster
-//!   topology's only execute it.
+//!   planning and ordering are one pure scheduling pass in [`slo`], and the
+//!   registry's one batch loop executes its schedule.
 //! * [`cluster`] — scale-out across simulated hosts: replicated registries
 //!   behind deterministic hash/rendezvous routing, row-sharded tensors
 //!   (each host loads only its slice's snapshot bytes), and layer pipelines
 //!   with modeled link latency — all serving bit-identically to one host.
+//!   Every topology executes the one global schedule through its hosts'
+//!   registry loop, one of the crate's two batch loops (with [`serve`]).
 //! * [`run_stages`] — the one batched forward of a frozen MLP, whole-loaded
 //!   or paged: each linear stage is one `matmul_into` between two recycled
 //!   activation buffers, then one pass per row adds the bias and applies the

@@ -30,8 +30,9 @@
 //! execute under an [`AdmissionPolicy`] (`Fifo` / `Priority` /
 //! `EarliestDeadline`) decided on a reference timeline — so admission and
 //! ordering stay bit-identical across worker counts too. Both calls run the
-//! one [`schedule`](crate::slo) pass and only execute its result;
-//! `serve_multi` is its `Fifo`, no-shedding case.
+//! one [`schedule`](crate::slo) pass and execute its result in one batch
+//! loop, which every [`Cluster`](crate::Cluster) host of every topology runs
+//! too; `serve_multi` is its `Fifo`, no-shedding case.
 //!
 //! A registry built with [`ModelRegistry::new_paged`] runs in
 //! [`ResidencyMode::Paged`] — "Memory-Efficient mode": block-streamed
@@ -58,7 +59,8 @@ use permdnn_core::snapshot::{load_block, peek_kind, SnapshotError, KIND_BLOCKED}
 use crate::executor::ParallelExecutor;
 use crate::paging::{PagedConfig, PagedModel, PagingModel};
 use crate::serve::{
-    latency_percentiles, makespan, per_second, BatchModel, CompletedRequest, Request, ServeConfig,
+    complete, gather, latency_percentiles, makespan, per_second, BatchModel, CompletedRequest,
+    Request, ServeConfig,
 };
 use crate::slo::{
     schedule, AdmissionPolicy, ModelCost, Rejection, Schedule, ScheduledBatch, SloTally, SloTarget,
@@ -235,6 +237,9 @@ pub struct RegistryStats {
     pub evictions: u64,
     /// Hot swaps applied.
     pub swaps: u64,
+    /// Scheduled hot swaps dropped because the replacement failed to load,
+    /// was mis-shaped or over budget, or its id was unknown.
+    pub swaps_dropped: u64,
     /// Weight blocks faulted into paged models' slots (demand faults and
     /// prefetches alike).
     pub blocks_faulted: u64,
@@ -482,7 +487,7 @@ pub struct ModelRegistry {
     clock: u64,
     stats: RegistryStats,
     /// Resident-byte high-water mark of the current serving run, re-seeded
-    /// by [`ModelRegistry::begin_run`]; the lifetime mark is in `stats`.
+    /// as each call starts executing; the lifetime mark is in `stats`.
     run_peak: u64,
     pending_swaps: Vec<(u64, String, Vec<u8>)>,
 }
@@ -672,29 +677,6 @@ impl ModelRegistry {
     fn note_peak(&mut self) {
         self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.loaded_bytes);
         self.run_peak = self.run_peak.max(self.loaded_bytes);
-    }
-
-    /// Starts a serving run: re-seeds the run's resident-byte high-water mark
-    /// at the bytes resident now and returns the lifetime counters
-    /// [`Self::run_stats`] subtracts. The lifetime counters are only read.
-    pub(crate) fn begin_run(&mut self) -> RegistryStats {
-        self.run_peak = self.loaded_bytes;
-        self.stats
-    }
-
-    /// The counters accumulated since [`Self::begin_run`] returned `before`,
-    /// with the run's own resident-byte high-water mark.
-    pub(crate) fn run_stats(&self, before: RegistryStats) -> RegistryStats {
-        let now = self.stats;
-        RegistryStats {
-            loads: now.loads - before.loads,
-            reloads: now.reloads - before.reloads,
-            evictions: now.evictions - before.evictions,
-            swaps: now.swaps - before.swaps,
-            blocks_faulted: now.blocks_faulted - before.blocks_faulted,
-            bytes_faulted: now.bytes_faulted - before.bytes_faulted,
-            peak_resident_bytes: self.run_peak,
-        }
     }
 
     /// Attaches (or, with `None`, detaches) a service-level objective on a
@@ -1062,8 +1044,7 @@ impl ModelRegistry {
     fn paged_forward(
         &mut self,
         id: &str,
-        input: &[f32],
-        batch: usize,
+        xs: &BatchView<'_>,
         exec: &ParallelExecutor,
         outputs: &mut Matrix,
         now: Now<'_>,
@@ -1081,32 +1062,29 @@ impl ModelRegistry {
             };
             Arc::clone(model)
         };
-        let xs = BatchView::new(input, batch, model.in_dim())?;
         let mut fault_ticks = 0u64;
-        model.forward_into(&xs, exec, outputs, |s| {
+        model.forward_into(xs, exec, outputs, |s| {
             fault_ticks = fault_ticks.saturating_add(self.fault_stage(id, s, now.stage(s))?);
             Ok::<(), RegistryError>(())
         })?;
         Ok(fault_ticks)
     }
 
-    /// Applies every pending swap scheduled at or before `tick`. Invalid
-    /// replacement snapshots are dropped (the old model keeps serving) —
-    /// a mid-stream swap must never poison a running service. Evictions a
-    /// swap forces follow `now`.
-    fn apply_swaps_due(&mut self, tick: u64, now: Now<'_>) -> usize {
-        let mut applied = 0;
+    /// Applies every pending swap scheduled at or before `tick`. A swap that
+    /// fails is dropped and counted in [`RegistryStats::swaps_dropped`] (the
+    /// old model keeps serving) — a mid-stream swap must never poison a
+    /// running service. Evictions a swap forces follow `now`.
+    fn apply_swaps_due(&mut self, tick: u64, now: Now<'_>) {
         while self
             .pending_swaps
             .first()
             .is_some_and(|(at, _, _)| *at <= tick)
         {
             let (_, id, snapshot) = self.pending_swaps.remove(0);
-            if self.entries.contains_key(&id) && self.swap_at(&id, snapshot, now).is_ok() {
-                applied += 1;
+            if self.swap_at(&id, snapshot, now).is_err() {
+                self.stats.swaps_dropped = self.stats.swaps_dropped.saturating_add(1);
             }
         }
-        applied
     }
 
     /// Serves a heterogeneous request stream: requests are routed to their
@@ -1213,14 +1191,21 @@ impl ModelRegistry {
     /// paged models fault their blocks in (the fault ticks stall the engine),
     /// and the next batch's model is prefetched after each completion. Every
     /// eviction on the way drops the unit the schedule needs farthest ahead.
-    fn execute(
+    ///
+    /// The one batch loop of every registry: [`ModelRegistry::serve_multi`],
+    /// [`ModelRegistry::serve_traffic`] and each cluster host run it. It
+    /// consumes the batches, so each batch's inputs drop as it completes.
+    pub(crate) fn execute(
         &mut self,
         exec: &ParallelExecutor,
         cfg: &ServeConfig,
         first_arrival_tick: u64,
         mut batches: Vec<ScheduledBatch>,
     ) -> Result<MultiServeReport, RegistryError> {
-        let before = self.begin_run();
+        // The run reports its counters as deltas from here, and its own
+        // resident-byte high-water mark from what is resident now.
+        let before = self.stats;
+        self.run_peak = self.loaded_bytes;
         // The ids move out of the batches, so the next-use table can borrow
         // them while the batches are consumed.
         let ids: Vec<String> = batches
@@ -1242,24 +1227,18 @@ impl ModelRegistry {
             let start = batch.close_tick.max(engine_ready);
             self.apply_swaps_due(start, now);
             let entry = self.entries.get(id).expect("routed ids stay registered");
-            let in_dim = entry.in_dim;
             let mul_count = entry.mul_count;
             let paged_entry = matches!(entry.residency, Residency::Paged { .. });
 
             let size = batch.requests.len();
-            input.clear();
-            for request in &batch.requests {
-                permdnn_core::format::check_dim("serve_multi", in_dim, request.input.len())?;
-                input.extend_from_slice(&request.input);
-            }
+            let xs = gather(&batch.requests, entry.in_dim, &mut input)?;
             // Demand faults stall the engine before execution; whole-loaded
             // models load outside the modeled timeline.
             let fault_ticks = if paged_entry {
-                self.paged_forward(id, &input, size, exec, &mut outputs, now)?
+                self.paged_forward(id, &xs, exec, &mut outputs, now)?
             } else {
-                let model = self.model_at(id, now)?;
-                let xs = BatchView::new(&input, size, in_dim)?;
-                model.forward_batch_into(&xs, exec, &mut outputs)?;
+                self.model_at(id, now)?
+                    .forward_batch_into(&xs, exec, &mut outputs)?;
                 0
             };
 
@@ -1284,30 +1263,34 @@ impl ModelRegistry {
             tally.served += size;
             tally.batches += 1;
             tally.busy_ticks = tally.busy_ticks.saturating_add(ticks);
-            for (i, request) in batch.requests.into_iter().enumerate() {
-                completed.push(TaggedCompletion {
-                    model_id: id.clone(),
-                    completed: CompletedRequest {
-                        id: request.id,
-                        arrival_tick: request.arrival_tick,
-                        completion_tick,
-                        batch_size: size,
-                        output: outputs.row(i).to_vec(),
-                    },
-                });
-            }
+            let tagged = |completed| TaggedCompletion {
+                model_id: id.clone(),
+                completed,
+            };
+            completed.extend(complete(batch.requests, &outputs, completion_tick).map(tagged));
         }
         // Swaps scheduled past the last batch apply at stream end, when no
         // batch is left to need anything.
         self.apply_swaps_due(u64::MAX, Now::IDLE);
 
+        // Lifetime counters saturate, so none has fallen since `before`.
+        let now = self.stats;
         Ok(MultiServeReport {
             completed,
             per_model,
             final_tick,
             first_arrival_tick,
             workers: exec.workers(),
-            stats: self.run_stats(before),
+            stats: RegistryStats {
+                loads: now.loads - before.loads,
+                reloads: now.reloads - before.reloads,
+                evictions: now.evictions - before.evictions,
+                swaps: now.swaps - before.swaps,
+                swaps_dropped: now.swaps_dropped - before.swaps_dropped,
+                blocks_faulted: now.blocks_faulted - before.blocks_faulted,
+                bytes_faulted: now.bytes_faulted - before.bytes_faulted,
+                peak_resident_bytes: self.run_peak,
+            },
         })
     }
 }
@@ -2106,6 +2089,139 @@ mod tests {
         assert_eq!(paged.resident_blocks("p"), Some(1));
         let s = paged.stats();
         assert_eq!((s.blocks_faulted, s.bytes_faulted), (u64::MAX, u64::MAX));
+    }
+
+    #[test]
+    fn dropped_scheduled_swaps_are_counted() {
+        // A garbage-bytes and a mis-shaped swap scheduled mid-stream each
+        // drop once; the old model serves every batch.
+        let stream = |seed| {
+            crate::serve::seeded_request_stream(seed, 4, 8, 0.0)
+                .into_iter()
+                .map(|request| TaggedRequest {
+                    model_id: "m".to_string(),
+                    request,
+                })
+        };
+        let waves: Vec<TaggedRequest> = stream(5)
+            .chain(stream(6).enumerate().map(|(i, mut tr)| {
+                tr.request.id = 100 + i as u64;
+                tr.request.arrival_tick = 10_000;
+                tr
+            }))
+            .collect();
+        let exec = ParallelExecutor::sequential();
+        let serve = |swaps: &[Vec<u8>]| {
+            let mut reg = ModelRegistry::new(tensor_loader(), u64::MAX);
+            reg.insert("m", pd_snapshot(8, 31)).unwrap();
+            for swap in swaps {
+                reg.schedule_swap("m", swap.clone(), 5_000);
+            }
+            let report = reg.serve_multi(&exec, &cfg(), waves.clone()).unwrap();
+            (reg, report)
+        };
+        let (_, plain) = serve(&[]);
+        let garbage = b"garbage".to_vec();
+        let misshaped = pd_snapshot(12, 32);
+        for swaps in [
+            vec![garbage.clone()],
+            vec![misshaped],
+            vec![garbage.clone(); 2],
+        ] {
+            let (mut reg, report) = serve(&swaps);
+            let dropped = swaps.len() as u64;
+            assert_eq!(report.stats.swaps_dropped, dropped, "per-run delta");
+            assert_eq!(reg.stats().swaps_dropped, dropped, "lifetime");
+            assert_eq!((report.stats.swaps, reg.stats().swaps), (0, 0));
+            assert_eq!(report.completed, plain.completed, "the old model serves");
+            let again = reg.serve_multi(&exec, &cfg(), waves.clone()).unwrap();
+            assert_eq!(again.stats.swaps_dropped, 0, "a later run drops none");
+            assert_eq!(reg.stats().swaps_dropped, dropped);
+        }
+
+        // The counter saturates like every other.
+        let mut reg = ModelRegistry::new(tensor_loader(), u64::MAX);
+        reg.insert("m", pd_snapshot(8, 31)).unwrap();
+        reg.stats.swaps_dropped = u64::MAX;
+        reg.schedule_swap("m", garbage, 0);
+        reg.serve_multi(&exec, &cfg(), waves).unwrap();
+        assert_eq!(reg.stats().swaps_dropped, u64::MAX);
+    }
+
+    /// The bytes `reg`'s resident units hold: each resident whole snapshot's
+    /// length plus each resident block's bytes.
+    fn resident_unit_bytes(reg: &ModelRegistry) -> u64 {
+        let entry_bytes = |e: &ModelEntry| match &e.residency {
+            Residency::Whole(m) => m.as_ref().map_or(0, |_| e.snapshot.len() as u64),
+            Residency::Paged { model, .. } => model
+                .resident_stages()
+                .map(|s| model.stage_block(s).expect("weight stages page").1)
+                .sum(),
+        };
+        reg.entries.values().map(entry_bytes).sum()
+    }
+
+    #[test]
+    fn loaded_bytes_always_equals_the_resident_units_bytes() {
+        // `loaded_bytes` adds and subtracts plainly, so it must track the
+        // resident units exactly through every path that moves it, whole and
+        // paged, at a budget tight enough to evict.
+        let check = |reg: &ModelRegistry, step: &str| {
+            assert_eq!(reg.loaded_bytes(), resident_unit_bytes(reg), "after {step}");
+        };
+        let snaps: Vec<Vec<u8>> = (0..3).map(|i| pd_snapshot(8, 100 + i)).collect();
+        let tagged = interleave_streams(
+            (0..3)
+                .map(|i| {
+                    let stream = crate::serve::seeded_request_stream(110 + i, 9, 8, 1.5);
+                    (format!("m{i}"), stream)
+                })
+                .collect(),
+        );
+        let exec = ParallelExecutor::sequential();
+
+        let mut whole = ModelRegistry::new(tensor_loader(), 2 * snaps[0].len() as u64);
+        for (i, snap) in snaps.iter().enumerate() {
+            whole.insert(&format!("m{i}"), snap.clone()).unwrap();
+            check(&whole, "a whole insert");
+        }
+        assert!(whole.stats().evictions > 0, "the third insert evicts");
+        whole.model("m0").unwrap();
+        check(&whole, "a reload");
+        whole.swap("m1", pd_snapshot(8, 120)).unwrap();
+        check(&whole, "a whole swap");
+        assert!(whole.evict_unit(None, Now::IDLE));
+        check(&whole, "a whole eviction");
+        whole.serve_multi(&exec, &cfg(), tagged.clone()).unwrap();
+        check(&whole, "a whole run");
+        assert!(whole.remove("m2"));
+        check(&whole, "a whole remove");
+
+        let blocked: Vec<Vec<u8>> = snaps
+            .iter()
+            .map(|s| block_stream_snapshot(s).unwrap())
+            .collect();
+        let block = read_block_index(&blocked[0]).unwrap().max_block_bytes();
+        let mut paged = ModelRegistry::new_paged(tensor_loader(), paged_cfg(), 2 * block);
+        for (i, b) in blocked.iter().enumerate() {
+            paged.insert(&format!("m{i}"), b.clone()).unwrap();
+            check(&paged, "a paged insert");
+        }
+        for i in 0..3 {
+            paged.fault_stage(&format!("m{i}"), 0, Now::IDLE).unwrap();
+            check(&paged, "a fault");
+        }
+        assert!(paged.stats().evictions > 0, "the third fault evicts");
+        paged.prefetch_model("m0", Now::IDLE).unwrap();
+        check(&paged, "a prefetch");
+        assert!(paged.evict_unit(None, Now::IDLE));
+        check(&paged, "a block eviction");
+        paged.swap("m1", blocked[2].clone()).unwrap();
+        check(&paged, "a paged swap");
+        paged.serve_multi(&exec, &cfg(), tagged).unwrap();
+        check(&paged, "a paged run");
+        assert!(paged.remove("m0"));
+        check(&paged, "a paged remove");
     }
 
     #[test]

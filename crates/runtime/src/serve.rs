@@ -24,7 +24,7 @@ use std::collections::VecDeque;
 use std::sync::Arc;
 
 use pd_tensor::Matrix;
-use permdnn_core::format::{BatchView, CompressedLinear, FormatError};
+use permdnn_core::format::{check_dim, BatchView, CompressedLinear, FormatError};
 
 use crate::executor::ParallelExecutor;
 
@@ -507,6 +507,43 @@ fn timeline(
     (first_arrival_tick, batches)
 }
 
+/// Copies a batch's member inputs into `input`, one row each, and views them
+/// as one batch: the input gather of both serving loops, [`serve`] and the
+/// registry's. A member whose input is not `in_dim` long is a
+/// [`FormatError::DimensionMismatch`].
+pub(crate) fn gather<'a>(
+    requests: &[Request],
+    in_dim: usize,
+    input: &'a mut Vec<f32>,
+) -> Result<BatchView<'a>, FormatError> {
+    input.clear();
+    for request in requests {
+        check_dim("serve", in_dim, request.input.len())?;
+        input.extend_from_slice(&request.input);
+    }
+    BatchView::new(input, requests.len(), in_dim)
+}
+
+/// The completion records of one executed batch, member `i` taking row `i`
+/// of `outputs`: the completion builder of both serving loops.
+pub(crate) fn complete(
+    requests: Vec<Request>,
+    outputs: &Matrix,
+    completion_tick: u64,
+) -> impl Iterator<Item = CompletedRequest> + '_ {
+    let batch_size = requests.len();
+    requests
+        .into_iter()
+        .enumerate()
+        .map(move |(i, request)| CompletedRequest {
+            id: request.id,
+            arrival_tick: request.arrival_tick,
+            completion_tick,
+            batch_size,
+            output: outputs.row(i).to_vec(),
+        })
+}
+
 /// Serves a request stream: plans batches with [`plan_batches`], then executes
 /// them in order on the model — real outputs from the worker pool, service
 /// time charged by the [`ServiceModel`]. A batch starts at
@@ -522,7 +559,6 @@ pub fn serve(
     cfg: &ServeConfig,
     requests: Vec<Request>,
 ) -> Result<ServeReport, FormatError> {
-    let in_dim = model.in_dim();
     let (first_arrival_tick, batches) =
         timeline(requests, cfg, model.mul_count_per_example(), exec.workers());
     let final_tick = batches.last().map_or(first_arrival_tick, |&(_, end)| end);
@@ -532,25 +568,10 @@ pub fn serve(
     let mut input = Vec::new();
     let mut outputs = Matrix::zeros(0, 0);
     for (plan, completion_tick) in batches {
-        let batch = plan.requests.len();
-        input.clear();
-        for request in &plan.requests {
-            permdnn_core::format::check_dim("serve", in_dim, request.input.len())?;
-            input.extend_from_slice(&request.input);
-        }
-        let xs = BatchView::new(&input, batch, in_dim)?;
+        let xs = gather(&plan.requests, model.in_dim(), &mut input)?;
         model.forward_batch_into(&xs, exec, &mut outputs)?;
-
-        for (i, request) in plan.requests.into_iter().enumerate() {
-            completed.push(CompletedRequest {
-                id: request.id,
-                arrival_tick: request.arrival_tick,
-                completion_tick,
-                batch_size: batch,
-                output: outputs.row(i).to_vec(),
-            });
-        }
-        batch_sizes.push(batch);
+        batch_sizes.push(plan.requests.len());
+        completed.extend(complete(plan.requests, &outputs, completion_tick));
     }
 
     Ok(ServeReport {

@@ -17,6 +17,15 @@
 //! (batch > 1 on more than one worker) and the per-request output vectors
 //! the serving loops hand back.
 //!
+//! The whole call the wall-clock benchmark times is bounded instead: one
+//! warm `ModelRegistry::serve_traffic` call at `batch_pd`'s shape (a PD p=8
+//! MLP 1024→[1024; 3]→10, 32 requests in one batch, `Fifo`) on one worker,
+//! whole-loaded and paged with every block resident, makes at most 101
+//! allocations (98 measured). 101 is what the call made before every
+//! cluster topology came to share its batch loop, so sharing it adds
+//! nothing. Two workers stay unpinned (about 134): their sharded dispatch
+//! varies by one allocation between calls.
+//!
 //! Block faults are pinned too. Checking and decoding one 512² block
 //! through `load_block` makes at most 32 allocations for circulant (k = 8,
 //! 4,096 circulant blocks, the wall-clock benchmark's paged circulant
@@ -33,9 +42,12 @@ use std::sync::Arc;
 use permdnn::core::format::{BatchView, FormatError};
 use permdnn::core::snapshot::{block_stream_snapshot, crc32, load_block};
 use permdnn::nn::layers::WeightFormat;
-use permdnn::nn::snapshot::{codec, load_paged_model};
+use permdnn::nn::snapshot::{batch_model_loader, codec, load_paged_model, paged_config};
 use permdnn::nn::MlpClassifier;
-use permdnn::runtime::{BatchModel, ParallelExecutor, SingleLayerModel};
+use permdnn::runtime::{
+    AdmissionPolicy, BatchConfig, BatchModel, ModelRegistry, ParallelExecutor, ServeConfig,
+    ServiceModel, SingleLayerModel, TaggedRequest, TrafficConfig, UniformProcess,
+};
 use permdnn::tensor::init::{seeded_rng, xavier_uniform};
 use permdnn::tensor::Matrix;
 
@@ -273,4 +285,73 @@ fn crc32_allocates_nothing() {
         std::hint::black_box(crc32(std::hint::black_box(&bytes)));
     });
     assert_eq!(n, 0, "{n} allocations per 288 KiB checksum");
+}
+
+/// Allocations per warm `serve_traffic` call of `requests` on `reg`, over
+/// three calls after two warm-up calls. Copying each call's requests is not
+/// counted.
+fn allocations_per_serve_call(
+    reg: &mut ModelRegistry,
+    exec: &ParallelExecutor,
+    cfg: &TrafficConfig,
+    requests: &[TaggedRequest],
+) -> u64 {
+    let mut counted = 0;
+    for call in 0..5 {
+        let copy = requests.to_vec();
+        let before = ALLOCATIONS.with(Cell::get);
+        let report = reg.serve_traffic(exec, cfg, copy).unwrap();
+        if call >= 2 {
+            counted += ALLOCATIONS.with(Cell::get) - before;
+        }
+        assert_eq!(report.serve.completed.len(), requests.len());
+    }
+    counted / 3
+}
+
+#[test]
+fn a_warm_batch_pd_serve_traffic_call_allocates_at_most_101_times() {
+    let model = MlpClassifier::new_frozen(
+        1024,
+        &[1024; 3],
+        CLASSES,
+        WeightFormat::PermutedDiagonal { p: 8 },
+        &mut seeded_rng(0xBA7C),
+    );
+    let snapshot = model.save().unwrap();
+    let requests: Vec<TaggedRequest> = UniformProcess::new(1024, 0.0)
+        .unwrap()
+        .stream(0x5E7, 32)
+        .into_iter()
+        .map(|request| TaggedRequest {
+            model_id: "batch_pd".to_string(),
+            request,
+        })
+        .collect();
+    let cfg = TrafficConfig::new(
+        ServeConfig {
+            batching: BatchConfig::new(32, 0),
+            service: ServiceModel::default(),
+        },
+        AdmissionPolicy::Fifo,
+    );
+    let exec = ParallelExecutor::new(1);
+
+    let mut whole = ModelRegistry::new(batch_model_loader(), u64::MAX);
+    whole.insert("batch_pd", snapshot.clone()).unwrap();
+    // Unlimited budget: the warm-up calls fault every block in for good.
+    let mut paged = ModelRegistry::new_paged(batch_model_loader(), paged_config(), u64::MAX);
+    paged
+        .insert("batch_pd", block_stream_snapshot(&snapshot).unwrap())
+        .unwrap();
+    for (label, reg) in [("whole", &mut whole), ("paged", &mut paged)] {
+        let n = allocations_per_serve_call(reg, &exec, &cfg, &requests);
+        eprintln!("{label}: {n} allocations per warm serve_traffic call");
+        assert!(n <= 101, "{label}: {n} allocations per warm call");
+    }
+    assert_eq!(
+        paged.stats().blocks_faulted,
+        4,
+        "no block faulted after warm-up"
+    );
 }

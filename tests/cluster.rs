@@ -18,6 +18,9 @@
 //!    concatenating the decoded per-host snapshots `split_tensor_rows`
 //!    returns (dense and PD), and corrupting the tensor snapshot it splits
 //!    (bit flips, truncation) yields typed errors, never panics.
+//! 5. **Residency under pressure** — row-sharded and pipeline hosts whose
+//!    budget cannot hold both of their parts evict and reload, yet serve
+//!    every output and completion tick of the unlimited-budget run.
 
 use std::sync::Arc;
 
@@ -506,6 +509,83 @@ fn pipeline_model_is_the_stage_composition() {
         .forward_batch(&xs, &ParallelExecutor::sequential())
         .unwrap();
     assert_eq!(out.row(0), &expected[..], "fused chain = composed matvecs");
+}
+
+// ---------------------------------------------------------------------------
+// 5. Residency under pressure.
+// ---------------------------------------------------------------------------
+
+/// Serves `stream` on a cluster `build` makes at `budget` bytes per host and
+/// at an unlimited budget, with the budget set below the smallest sum of one
+/// host's parts. Both runs must agree on every completion record, outputs
+/// and ticks alike, and some host must evict.
+fn serve_under_pressure(build: impl Fn(u64) -> Cluster, stream: &[TaggedRequest]) {
+    let cfg = TrafficConfig::new(serve_cfg(), AdmissionPolicy::Fifo);
+    let exec = ParallelExecutor::new(2);
+    let mut unlimited = build(u64::MAX);
+    let budget = unlimited.host_loaded_bytes().into_iter().min().unwrap() - 1;
+    let expected = unlimited
+        .serve_traffic(&exec, &cfg, stream.to_vec())
+        .unwrap();
+    let mut tight = build(budget);
+    let report = tight.serve_traffic(&exec, &cfg, stream.to_vec()).unwrap();
+    let topology = tight.topology();
+    assert_eq!(report.completed, expected.completed, "{topology:?}");
+    assert_eq!(report.final_tick, expected.final_tick, "{topology:?}");
+    for (k, host) in report.per_host.iter().enumerate() {
+        let r = host.registry;
+        eprintln!(
+            "{topology:?} host {k}: {} evictions, {} reloads",
+            r.evictions, r.reloads
+        );
+    }
+    assert!(
+        report.per_host.iter().any(|h| h.registry.evictions > 0),
+        "{topology:?}: a budget below two parts must evict"
+    );
+}
+
+#[test]
+fn hosts_under_memory_pressure_serve_the_unlimited_runs_outputs_and_ticks() {
+    let two_models = |in_dim| {
+        interleave_streams(
+            ["a", "b"]
+                .iter()
+                .zip([0xA7, 0xA8])
+                .map(|(id, seed)| {
+                    let stream = UniformProcess::new(in_dim, 3.0).unwrap().stream(seed, 24);
+                    (id.to_string(), stream)
+                })
+                .collect(),
+        )
+    };
+    serve_under_pressure(
+        |budget| {
+            let mut cluster = Cluster::row_sharded(loaders(2), budget).unwrap();
+            cluster
+                .insert("a", pd_snapshot(64, 64, 0x61), None)
+                .unwrap();
+            cluster
+                .insert("b", pd_snapshot(32, 64, 0x62), None)
+                .unwrap();
+            cluster
+        },
+        &two_models(64),
+    );
+    serve_under_pressure(
+        |budget| {
+            let mut cluster = Cluster::pipeline(loaders(3), 40, budget).unwrap();
+            cluster.insert_stages("a", stage_snapshots(), None).unwrap();
+            let chain_b = vec![
+                pd_snapshot(32, 32, 0x63),
+                pd_snapshot(64, 32, 0x64),
+                pd_snapshot(32, 64, 0x65),
+            ];
+            cluster.insert_stages("b", chain_b, None).unwrap();
+            cluster
+        },
+        &two_models(32),
+    );
 }
 
 // ---------------------------------------------------------------------------
