@@ -19,7 +19,7 @@
 use std::fmt::Write as _;
 
 use pd_tensor::init::seeded_rng;
-use permdnn_bench::{full_run_requested, print_header, ratio};
+use permdnn_bench::{full_run_requested, out_path, print_header, ratio, write_artifact};
 use permdnn_nn::conv_net::ConvClassifier;
 use permdnn_nn::data::{GlyphImages, TranslationPairs};
 use permdnn_nn::layers::WeightFormat;
@@ -62,7 +62,7 @@ fn sweep_point(model: &'static str, format: String, muls_per_example: u64) -> Sw
 
 fn main() {
     let full = full_run_requested();
-    let out_path = out_path_arg().unwrap_or_else(|| "BENCH_models.json".to_string());
+    let out_path = out_path("BENCH_models.json");
     let (samples, epochs) = if full { (400usize, 6usize) } else { (128, 2) };
     let formats = [WeightFormat::Dense, WeightFormat::PermutedDiagonal { p: 4 }];
 
@@ -200,15 +200,7 @@ fn main() {
     }
 
     let json = render_json(&points, &speedups);
-    std::fs::write(&out_path, json).expect("write bench JSON");
-    println!("\nwrote {out_path}");
-}
-
-fn out_path_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
+    write_artifact(&out_path, &json);
 }
 
 fn render_json(points: &[SweepPoint], speedups: &[(&str, f64)]) -> String {

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use pd_tensor::init::seeded_rng;
-use permdnn_bench::{full_run_requested, print_header, ratio};
+use permdnn_bench::{full_run_requested, out_path, print_header, ratio, write_artifact};
 use permdnn_nn::layers::WeightFormat;
 use permdnn_nn::MlpClassifier;
 use permdnn_runtime::{
@@ -41,7 +41,7 @@ struct SweepPoint {
 
 fn main() {
     let full = full_run_requested();
-    let out_path = out_path_arg().unwrap_or_else(|| "BENCH_serve.json".to_string());
+    let out_path = out_path("BENCH_serve.json");
 
     let (input_dim, hidden, n_requests) = if full {
         (512usize, vec![1024usize, 1024], 2048usize)
@@ -135,15 +135,7 @@ fn main() {
     }
 
     let json = render_json(input_dim, &hidden, classes, n_requests, &service, &points);
-    std::fs::write(&out_path, json).expect("write bench JSON");
-    println!("\nwrote {out_path}");
-}
-
-fn out_path_arg() -> Option<String> {
-    let args: Vec<String> = std::env::args().collect();
-    args.iter()
-        .position(|a| a == "--out")
-        .and_then(|i| args.get(i + 1).cloned())
+    write_artifact(&out_path, &json);
 }
 
 fn render_json(

@@ -9,8 +9,7 @@
 //! offset  size  field
 //! 0       8     magic  b"PDNNSNAP"
 //! 8       2     u16    container version (currently 1)
-//! 10      2     u16    model kind (0 = bare tensor, 1 = MLP, 2 = conv net,
-//!                      3 = seq2seq — see the KIND_* constants)
+//! 10      2     u16    container kind (see below)
 //! 12      4     u32    section count
 //! 16      ...   sections, back to back
 //! ```
@@ -28,6 +27,16 @@
 //! All integers and floats are little-endian. Trailing bytes after the last
 //! section are a parse error: a snapshot is exactly its header plus its
 //! sections.
+//!
+//! # Container kinds
+//!
+//! * 0 [`KIND_TENSOR`]: one operator, a `"tensor"` record.
+//! * 1 [`KIND_MLP`], 2 [`KIND_CONV`], 3 [`KIND_SEQ2SEQ`]: frozen models, a
+//!   `"graph"` section plus their weight records and biases.
+//! * 6 [`KIND_BLOCKED`]: a block-streamed model, an [`INNER_KIND_SECTION`]
+//!   holding the wrapped kind, then the wrapped model's sections byte for
+//!   byte. Its section framing is its block index.
+//! * 4 and 5 are retired layouts; every loader rejects them.
 //!
 //! # Tensor encoding
 //!
@@ -81,19 +90,22 @@ pub const KIND_MLP: u16 = 1;
 pub const KIND_CONV: u16 = 2;
 /// Model kind: a frozen sequence-to-sequence model.
 pub const KIND_SEQ2SEQ: u16 = 3;
-// Kind 4 is retired: it was a row-sharded tensor container, replaced by the
-// per-host tensor snapshots `split_tensor_rows` returns. Kinds are
-// append-only like format codes, so 4 is never reused; every loader rejects it.
-/// Model kind: a block-streamed container — a `"block_index"` section (the
-/// wrapped model kind plus the name/format/offset/length of every weight
-/// tensor record) followed by the original model's sections, where each
-/// weight record is an independently CRC-checked, offset-addressable *block*.
-/// Written by [`block_stream_snapshot`]; [`read_block_index`] locates every
-/// block without touching any block payload, [`load_block`] decodes one
+// Kinds 4 and 5 are retired: 4 was a row-sharded tensor container (replaced
+// by the per-host snapshots `split_tensor_rows` returns), 5 a block-streamed
+// container whose leading `"block_index"` section copied the framing. Kinds
+// are append-only like format codes, so neither is reused; every loader
+// rejects both.
+/// Model kind: a block-streamed container — an [`INNER_KIND_SECTION`] (the
+/// wrapped model kind, a `u16`) followed by the original model's sections
+/// byte for byte. Each weight section ([`is_weight_block_section`]) is an
+/// independently CRC-checked *block*, and its section frame is its index
+/// entry: nothing else records where a block lies. Written by
+/// [`block_stream_snapshot`]; [`read_block_index`] locates every block from
+/// the framing without checking any block payload, [`load_block`] decodes one
 /// block after checking only that block's CRC, and [`extract_block`]
 /// re-frames one block as a standalone [`KIND_TENSOR`] snapshot — the
 /// layer-granular paging form of the Kun-peng ordered-block database design.
-pub const KIND_BLOCKED: u16 = 5;
+pub const KIND_BLOCKED: u16 = 6;
 
 /// Tensor format code: dense `pd_tensor::Matrix`.
 pub const FORMAT_DENSE: u16 = 1;
@@ -910,9 +922,15 @@ pub fn load_tensor(
 }
 
 /// Decodes one complete tensor record (format code + payload) in place,
-/// rejecting trailing bytes — the common tail of [`load_tensor`] and
-/// [`load_block`].
-fn decode_record(
+/// rejecting trailing bytes — the one decoder behind every tensor section:
+/// [`load_tensor`], [`load_block`] and the model loaders' weight sections.
+///
+/// # Errors
+///
+/// Returns [`SnapshotError::UnknownFormat`] for a format code `codec` does
+/// not register, and the decoder's error for a malformed record or one with
+/// trailing bytes.
+pub fn decode_record(
     record: &[u8],
     codec: &SnapshotCodec,
 ) -> Result<Arc<dyn CompressedLinear>, SnapshotError> {
@@ -1030,10 +1048,9 @@ fn slice_check(rows: usize, p: usize, shards: usize) -> Result<(), SnapshotError
 // Block-streamed snapshots (layer-granular paging, Kun-peng ordered blocks).
 // ---------------------------------------------------------------------------
 
-/// Name of the index section in a [`KIND_BLOCKED`] container. Always the
-/// first section, so a reader can locate every block before touching any
-/// block payload.
-pub const BLOCK_INDEX_SECTION: &str = "block_index";
+/// Name of the first section of a [`KIND_BLOCKED`] container. Its payload is
+/// the wrapped model kind, one `u16`.
+pub const INNER_KIND_SECTION: &str = "inner_kind";
 
 /// One entry of a [`BlockIndex`]: a weight tensor record addressable (and
 /// CRC-checkable) without parsing the rest of the container.
@@ -1043,23 +1060,19 @@ pub struct BlockEntry {
     pub name: String,
     /// Tensor format code of the record (`FORMAT_*`) — the record's own
     /// leading `u16`, surfaced here so tooling can dispatch or report without
-    /// reading the block.
+    /// decoding the block. It is read before the block's CRC is checked, so
+    /// a corrupt block may show any code here; loading or extracting that
+    /// block still fails its checksum.
     pub kind: u16,
-    /// Absolute file offset of the record payload.
+    /// Absolute file offset of the record payload, from its section frame.
     pub offset: u64,
-    /// Record payload length in bytes — the block's cost against a paging
-    /// registry's residency budget.
+    /// Record payload length in bytes, from its section frame — the block's
+    /// cost against a paging registry's residency budget.
     pub len: u64,
 }
 
-/// The parsed `"block_index"` section of a [`KIND_BLOCKED`] container.
-///
-/// On disk the section is `inner kind (u16), block count (u32), then per
-/// block: name (u16 length + bytes), format code (u16), offset (u64), length
-/// (u64)`. Reading validates every entry against the container's actual
-/// section framing — name, offset and length must all agree — so a tampered
-/// index (offsets past EOF, overlapping or re-ordered blocks) is a typed
-/// error even though block payloads are never read.
+/// The blocks of a [`KIND_BLOCKED`] container and the model kind it wraps,
+/// as [`read_block_index`] reads them from the container's section framing.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockIndex {
     /// The model kind the container wraps ([`KIND_MLP`], [`KIND_TENSOR`],
@@ -1112,12 +1125,12 @@ struct Frame {
 /// trailing bytes are all validated.
 ///
 /// With `check_crcs` off no payload is read — O(section count) work, never
-/// O(file). This is what lets the block index stay readable, and individual
-/// blocks extractable, while some *other* block's payload is corrupt: only
-/// the bytes actually consumed are validated. [`Snapshot::parse`] turns it
-/// on, and each payload is then checked against its CRC as soon as it is
-/// framed, before the next frame is read: a damaged length field reports
-/// the checksum mismatch it causes, not the misframing that follows.
+/// O(file). This is what lets one block load while some *other* block's
+/// payload is corrupt: only the bytes actually consumed are validated.
+/// [`Snapshot::parse`] turns it on, and each payload is then checked against
+/// its CRC as soon as it is framed, before the next frame is read: a damaged
+/// length field reports the checksum mismatch it causes, not the misframing
+/// that follows.
 fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame>), SnapshotError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(MAGIC.len(), "magic").map_err(|_| {
@@ -1182,7 +1195,7 @@ fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame>), Snap
             len: payload_len as usize,
         };
         if check_crcs {
-            verify_frame_crc(bytes, &frame)?;
+            verified_payload(bytes, &frame)?;
         }
         frames.push(frame);
     }
@@ -1204,8 +1217,9 @@ fn walk_blocked_frames(bytes: &[u8]) -> Result<Vec<Frame>, SnapshotError> {
 }
 
 /// CRC-checks one walked frame's payload against the stored checksum that
-/// follows it (whose presence [`walk_frames`] already bounds-checked).
-fn verify_frame_crc(bytes: &[u8], frame: &Frame) -> Result<(), SnapshotError> {
+/// follows it (whose presence [`walk_frames`] already bounds-checked) and
+/// returns the payload, borrowed in place.
+fn verified_payload<'a>(bytes: &'a [u8], frame: &Frame) -> Result<&'a [u8], SnapshotError> {
     let payload = &bytes[frame.offset..frame.offset + frame.len];
     let crc = &bytes[frame.offset + frame.len..frame.offset + frame.len + 4];
     let stored = u32::from_le_bytes([crc[0], crc[1], crc[2], crc[3]]);
@@ -1217,7 +1231,7 @@ fn verify_frame_crc(bytes: &[u8], frame: &Frame) -> Result<(), SnapshotError> {
             computed,
         });
     }
-    Ok(())
+    Ok(payload)
 }
 
 /// The container kind of a snapshot, read from the header alone — no
@@ -1245,11 +1259,9 @@ pub fn is_weight_block_section(name: &str) -> bool {
 
 /// Converts a model snapshot ([`KIND_TENSOR`], [`KIND_MLP`], ...) into a
 /// [`KIND_BLOCKED`] container using the [`is_weight_block_section`]
-/// convention. Every original section is carried over unchanged, in order; a
-/// `"block_index"` section is prepended describing each weight record's
-/// name, format code, file offset and length. Because the container framing
-/// is deterministic, the offsets are computed exactly at build time and
-/// validated against the real framing on every read.
+/// convention: an [`INNER_KIND_SECTION`] holding the source's kind, then
+/// every original section unchanged, in order. The section framing is the
+/// block index, so nothing else is written.
 ///
 /// # Errors
 ///
@@ -1264,169 +1276,80 @@ pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
             reason: "snapshot is already block-streamed".to_string(),
         });
     }
-    let sections = snap.sections();
-    let block_names: Vec<&str> = sections
-        .iter()
-        .filter(|(name, _)| is_weight_block_section(name))
-        .map(|(name, _)| name.as_str())
-        .collect();
-    if block_names.is_empty() {
+    let mut b = SnapshotBuilder::new(KIND_BLOCKED);
+    b.section(INNER_KIND_SECTION, snap.kind().to_le_bytes().to_vec());
+    for (name, payload) in snap.sections() {
+        b.section(name, payload.clone());
+    }
+    let blocked = b.finish();
+    // Reading the index back rejects a weight section too short to carry a
+    // format code.
+    if read_block_index(&blocked)?.is_empty() {
         return Err(SnapshotError::Malformed {
             context: "block stream source",
             reason: "snapshot has no weight sections to block".to_string(),
         });
     }
-
-    // The index is section 0, so its own size shifts every offset after it;
-    // its size depends only on the block count and name lengths, so compute
-    // it first, then lay the file out section by section. Each section frame
-    // costs `2 + name + 8` bytes of prefix and `4` of trailing CRC (see
-    // `SnapshotBuilder::finish`).
-    let index_size: usize = 2
-        + 4
-        + block_names
-            .iter()
-            .map(|n| 2 + n.len() + 2 + 8 + 8)
-            .sum::<usize>();
-    let mut offset = 16; // magic + version + kind + section count
-    offset += 2 + BLOCK_INDEX_SECTION.len() + 8 + index_size + 4;
-    let mut entries: Vec<BlockEntry> = Vec::with_capacity(block_names.len());
-    for (name, payload) in sections {
-        offset += 2 + name.len() + 8;
-        if is_weight_block_section(name) {
-            let mut r = ByteReader::new(payload);
-            let kind = r.u16("block tensor record")?;
-            entries.push(BlockEntry {
-                name: name.clone(),
-                kind,
-                offset: offset as u64,
-                len: payload.len() as u64,
-            });
-        }
-        offset += payload.len() + 4;
-    }
-
-    let mut index = ByteWriter::new();
-    index.u16(snap.kind());
-    index.u32(entries.len() as u32);
-    for e in &entries {
-        index.str(&e.name);
-        index.u16(e.kind);
-        index.u64(e.offset);
-        index.u64(e.len);
-    }
-    let index_payload = index.into_vec();
-    debug_assert_eq!(index_payload.len(), index_size, "index layout accounting");
-
-    let mut b = SnapshotBuilder::new(KIND_BLOCKED);
-    b.section(BLOCK_INDEX_SECTION, index_payload);
-    for (name, payload) in sections {
-        b.section(name, payload.clone());
-    }
-    Ok(b.finish())
+    Ok(blocked)
 }
 
-/// Parses and validates the `"block_index"` section of a [`KIND_BLOCKED`]
-/// container *without touching any block payload*: only the section framing
-/// is walked (O(section count)) and only the index's own CRC is checked.
-/// Every index entry must name a real section frame, in file order, with the
-/// exact offset and length the framing declares — so truncated files,
-/// offsets past EOF, overlapping blocks and re-ordered entries are all typed
-/// errors before a single block byte is read.
+/// Reads the block index of a [`KIND_BLOCKED`] container from its section
+/// framing, *checking no block payload*: the framing is walked (O(section
+/// count)), the [`INNER_KIND_SECTION`] is CRC-checked and read, and each
+/// weight section's frame becomes a [`BlockEntry`] whose format code is the
+/// record's leading `u16`. A block's CRC is checked when [`load_block`] or
+/// [`extract_block`] reads it.
 ///
 /// # Errors
 ///
-/// Returns a typed [`SnapshotError`] for corruption anywhere in the header,
-/// framing or index.
+/// Returns a typed [`SnapshotError`] for corruption in the header or
+/// framing, a container of any other kind (the retired kind 5 included), an
+/// inner-kind section that is missing, not first, corrupt or not exactly two
+/// bytes, and a weight section shorter than a format code.
 pub fn read_block_index(bytes: &[u8]) -> Result<BlockIndex, SnapshotError> {
-    let frames = walk_blocked_frames(bytes)?;
-    let first = match frames.first() {
-        Some(f) if f.name == BLOCK_INDEX_SECTION => f,
+    let mut frames = walk_blocked_frames(bytes)?.into_iter();
+    let inner = match frames.next() {
+        Some(f) if f.name == INNER_KIND_SECTION => f,
         _ => {
             return Err(SnapshotError::MissingSection {
-                name: BLOCK_INDEX_SECTION.to_string(),
+                name: INNER_KIND_SECTION.to_string(),
             })
         }
     };
-    verify_frame_crc(bytes, first)?;
-    let mut r = ByteReader::new(&bytes[first.offset..first.offset + first.len]);
-    let inner_kind = r.u16("block index inner kind")?;
-    let count = r.u32("block index count")? as usize;
-    // Each entry costs at least 2 (name length) + 1 (name) + 2 + 8 + 8 bytes;
-    // reject impossible counts before reserving anything.
-    if count > r.remaining() / 21 {
-        return Err(SnapshotError::Truncated {
-            context: "block index entries",
-            needed: (count as u64) * 21,
-            got: r.remaining() as u64,
-        });
-    }
-    let mut blocks = Vec::with_capacity(count);
-    // frames[0] is the index itself; entries must claim later frames in
-    // strictly ascending file order, so `cursor` only moves forward — two
-    // entries can never alias one frame, and fabricated offsets (past EOF,
-    // overlapping, pointing into the index) cannot match the real framing.
-    let mut cursor = 1;
-    for k in 0..count {
-        let name = r.str("block name")?;
-        let kind = r.u16("block format code")?;
-        let offset = r.u64("block offset")?;
-        let len = r.u64("block length")?;
-        let frame = loop {
-            match frames.get(cursor) {
-                Some(f) => {
-                    cursor += 1;
-                    if f.name == name {
-                        break f;
-                    }
-                }
-                None => {
-                    return Err(SnapshotError::Malformed {
-                        context: "block index entries",
-                        reason: format!("block {k} ({name:?}) names no section frame"),
-                    })
-                }
-            }
-        };
-        if offset != frame.offset as u64 || len != frame.len as u64 {
-            return Err(SnapshotError::Malformed {
-                context: "block index entries",
-                reason: format!(
-                    "block {k} ({name:?}) claims {len} bytes at offset {offset}, \
-                     the section framing has {} at {}",
-                    frame.len, frame.offset
-                ),
-            });
-        }
-        blocks.push(BlockEntry {
-            name,
-            kind,
-            offset,
-            len,
-        });
-    }
-    r.expect_end("block index")?;
+    let mut r = ByteReader::new(verified_payload(bytes, &inner)?);
+    let inner_kind = r.u16("block container inner kind")?;
+    r.expect_end("block container inner kind")?;
+    let blocks = frames
+        .filter(|f| is_weight_block_section(&f.name))
+        .map(|f| {
+            let record = &bytes[f.offset..f.offset + f.len];
+            Ok(BlockEntry {
+                kind: ByteReader::new(record).u16("block format code")?,
+                name: f.name,
+                offset: f.offset as u64,
+                len: f.len as u64,
+            })
+        })
+        .collect::<Result<_, SnapshotError>>()?;
     Ok(BlockIndex { inner_kind, blocks })
 }
 
-/// Locates block `k` of a [`KIND_BLOCKED`] container through its validated
-/// index and checks *only that block's* payload against its stored CRC,
-/// returning the payload borrowed in place — the shared first step of
-/// [`extract_block`] and [`load_block`].
+/// Locates block `k` of a [`KIND_BLOCKED`] container through its index and
+/// checks *only that block's* payload against its stored CRC, returning the
+/// payload borrowed in place — the shared first step of [`extract_block`]
+/// and [`load_block`].
 fn verified_block(bytes: &[u8], k: usize) -> Result<&[u8], SnapshotError> {
-    let index = read_block_index(bytes)?;
-    let Some(entry) = index.blocks.get(k) else {
+    let Some(entry) = read_block_index(bytes)?.blocks.into_iter().nth(k) else {
         return Err(SnapshotError::MissingSection {
             name: format!("block {k}"),
         });
     };
     let frame = Frame {
-        name: entry.name.clone(),
+        name: entry.name,
         offset: entry.offset as usize,
         len: entry.len as usize,
     };
-    verify_frame_crc(bytes, &frame)?;
-    Ok(&bytes[frame.offset..frame.offset + frame.len])
+    verified_payload(bytes, &frame)
 }
 
 /// Extracts block `k` of a [`KIND_BLOCKED`] container as a standalone
@@ -1437,8 +1360,8 @@ fn verified_block(bytes: &[u8], k: usize) -> Result<&[u8], SnapshotError> {
 ///
 /// # Errors
 ///
-/// Returns a typed [`SnapshotError`] for corruption in the header, framing,
-/// index, or the requested block itself, and
+/// Returns a typed [`SnapshotError`] for anything [`read_block_index`]
+/// rejects or corruption in the requested block itself, and
 /// [`SnapshotError::MissingSection`] for a block number the index does not
 /// list.
 pub fn extract_block(bytes: &[u8], k: usize) -> Result<Vec<u8>, SnapshotError> {
@@ -1485,8 +1408,7 @@ pub fn read_blocked_section(bytes: &[u8], name: &str) -> Result<Vec<u8>, Snapsho
             .ok_or_else(|| SnapshotError::MissingSection {
                 name: name.to_string(),
             })?;
-    verify_frame_crc(bytes, frame)?;
-    Ok(bytes[frame.offset..frame.offset + frame.len].to_vec())
+    Ok(verified_payload(bytes, frame)?.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -2150,75 +2072,95 @@ mod tests {
     }
 
     #[test]
-    fn tampered_block_index_is_a_typed_error() {
+    fn blocked_sections_are_the_sources_and_entries_locate_them() {
         let (bytes, _, _) = model_like_snapshot();
+        let source = Snapshot::parse(&bytes).unwrap();
         let blocked = block_stream_snapshot(&bytes).unwrap();
         let snap = Snapshot::parse(&blocked).unwrap();
-        let rebuild = |index_payload: Vec<u8>| {
+        // The inner-kind section, then every source section byte for byte.
+        let (first, rest) = snap.sections().split_first().unwrap();
+        assert_eq!(first.0, INNER_KIND_SECTION);
+        assert_eq!(first.1, KIND_MLP.to_le_bytes());
+        assert_eq!(rest, source.sections());
+        // One entry per weight section, in file order, locating exactly the
+        // source's record bytes.
+        let index = read_block_index(&blocked).unwrap();
+        let weights: Vec<&(String, Vec<u8>)> = source
+            .sections()
+            .iter()
+            .filter(|(name, _)| is_weight_block_section(name))
+            .collect();
+        assert_eq!(index.len(), weights.len());
+        for (entry, (name, payload)) in index.blocks.iter().zip(weights) {
+            assert_eq!(&entry.name, name);
+            let at = entry.offset as usize..(entry.offset + entry.len) as usize;
+            assert_eq!(&blocked[at], payload.as_slice(), "{name}");
+            assert_eq!(entry.kind, u16::from_le_bytes([payload[0], payload[1]]));
+        }
+    }
+
+    #[test]
+    fn malformed_blocked_containers_are_typed_errors() {
+        let w = encode_tensor(&BlockPermDiagMatrix::random(8, 8, 4, &mut seeded_rng(25))).unwrap();
+        let container = |sections: &[(&str, &[u8])]| {
             let mut b = SnapshotBuilder::new(KIND_BLOCKED);
-            b.section(BLOCK_INDEX_SECTION, index_payload);
-            for (name, payload) in snap.sections().iter().skip(1) {
-                b.section(name, payload.clone());
+            for (name, payload) in sections {
+                b.section(name, payload.to_vec());
             }
             b.finish()
         };
-        let entry = |w: &mut ByteWriter, name: &str, kind: u16, offset: u64, len: u64| {
-            w.str(name);
-            w.u16(kind);
-            w.u64(offset);
-            w.u64(len);
-        };
-        let real = read_block_index(&blocked).unwrap();
-        let (e0, e1) = (&real.blocks[0], &real.blocks[1]);
+        let kind = KIND_TENSOR.to_le_bytes();
+        let good = container(&[(INNER_KIND_SECTION, &kind), ("tensor", &w)]);
+        assert_eq!(read_block_index(&good).unwrap().inner_kind, KIND_TENSOR);
 
-        // Offset past EOF.
-        let mut w = ByteWriter::new();
-        w.u16(KIND_MLP);
-        w.u32(1);
-        entry(&mut w, &e0.name, e0.kind, 1 << 40, e0.len);
+        // Missing, or not the first section.
+        for bytes in [
+            container(&[("tensor", &w)]),
+            container(&[("tensor", &w), (INNER_KIND_SECTION, &kind)]),
+        ] {
+            assert!(matches!(
+                read_block_index(&bytes),
+                Err(SnapshotError::MissingSection { ref name }) if name == INNER_KIND_SECTION
+            ));
+        }
+        // Shorter or longer than one u16.
         assert!(matches!(
-            read_block_index(&rebuild(w.into_vec())),
-            Err(SnapshotError::Malformed { .. })
-        ));
-
-        // Overlapping blocks: both entries claim block 0's bytes.
-        let mut w = ByteWriter::new();
-        w.u16(KIND_MLP);
-        w.u32(2);
-        entry(&mut w, &e0.name, e0.kind, e0.offset, e0.len);
-        entry(&mut w, &e1.name, e1.kind, e0.offset, e0.len);
-        assert!(matches!(
-            read_block_index(&rebuild(w.into_vec())),
-            Err(SnapshotError::Malformed { .. })
-        ));
-
-        // A count larger than the index bytes could hold is truncation.
-        let mut w = ByteWriter::new();
-        w.u16(KIND_MLP);
-        w.u32(1_000_000);
-        assert!(matches!(
-            read_block_index(&rebuild(w.into_vec())),
+            read_block_index(&container(&[(INNER_KIND_SECTION, &[0]), ("tensor", &w)])),
             Err(SnapshotError::Truncated { .. })
         ));
-
-        // A length shorter than the real section is caught by the framing
-        // cross-check, not silently accepted.
-        let mut w = ByteWriter::new();
-        w.u16(KIND_MLP);
-        w.u32(1);
-        entry(&mut w, &e0.name, e0.kind, e0.offset, e0.len - 1);
         assert!(matches!(
-            read_block_index(&rebuild(w.into_vec())),
+            read_block_index(&container(&[
+                (INNER_KIND_SECTION, &[0, 0, 0]),
+                ("tensor", &w)
+            ])),
             Err(SnapshotError::Malformed { .. })
         ));
-
-        // Flipping a byte of the stored index payload itself fails its CRC.
-        let mut corrupt = blocked.clone();
-        let index_payload_at = 16 + 2 + BLOCK_INDEX_SECTION.len() + 8;
-        corrupt[index_payload_at + 1] ^= 0x55;
+        // A flipped byte of the inner kind fails its checksum, in the index
+        // reader and in every block reader that goes through it.
+        let mut corrupt = good.clone();
+        corrupt[16 + 2 + INNER_KIND_SECTION.len() + 8] ^= 0x55;
+        let codec = SnapshotCodec::new();
+        for err in [
+            read_block_index(&corrupt).map(drop),
+            load_block(&corrupt, 0, &codec).map(drop),
+            extract_block(&corrupt, 0).map(drop),
+        ] {
+            assert!(
+                matches!(err, Err(SnapshotError::ChecksumMismatch { ref section, .. })
+                if section == INNER_KIND_SECTION)
+            );
+        }
+        // A weight section shorter than a format code, written by hand or
+        // offered to the writer.
         assert!(matches!(
-            read_block_index(&corrupt),
-            Err(SnapshotError::ChecksumMismatch { .. })
+            read_block_index(&container(&[(INNER_KIND_SECTION, &kind), ("tensor", &[2])])),
+            Err(SnapshotError::Truncated { .. })
+        ));
+        let mut b = SnapshotBuilder::new(KIND_TENSOR);
+        b.section("tensor", vec![2]);
+        assert!(matches!(
+            block_stream_snapshot(&b.finish()),
+            Err(SnapshotError::Truncated { .. })
         ));
     }
 

@@ -639,8 +639,8 @@ impl FrozenConvNet {
         g.expect_end("conv graph")?;
 
         let geometry = ConvGeometry::new(3, 3, 1, 1);
-        let conv0 = crate::snapshot::read_tensor_section(snap.section("conv0")?, &codec)?;
-        let conv1 = crate::snapshot::read_tensor_section(snap.section("conv1")?, &codec)?;
+        let conv0 = permdnn_core::snapshot::decode_record(snap.section("conv0")?, &codec)?;
+        let conv1 = permdnn_core::snapshot::decode_record(snap.section("conv1")?, &codec)?;
         for (i, conv) in [&conv0, &conv1].into_iter().enumerate() {
             let (c_in, c_out) = (channels[i], channels[i + 1]);
             if conv.in_dim() != geometry.patch_len(c_in) || conv.out_dim() != c_out {
@@ -667,7 +667,7 @@ impl FrozenConvNet {
                 context: "conv head shape",
                 reason: "head input size overflows".to_string(),
             })?;
-        let head_w = crate::snapshot::read_tensor_section(snap.section("head.weights")?, &codec)?;
+        let head_w = permdnn_core::snapshot::decode_record(snap.section("head.weights")?, &codec)?;
         if head_w.in_dim() != head_in || head_w.out_dim() != num_classes {
             return Err(SnapshotError::Malformed {
                 context: "conv head shape",

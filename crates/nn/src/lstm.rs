@@ -1306,11 +1306,11 @@ impl FrozenSeq2Seq {
             let mut wh: Vec<Arc<dyn CompressedLinear>> = Vec::with_capacity(4);
             let mut bias: Vec<Vec<f32>> = Vec::with_capacity(4);
             for gate in 0..4 {
-                let x_op = crate::snapshot::read_tensor_section(
+                let x_op = permdnn_core::snapshot::decode_record(
                     snap.section(&format!("{prefix}.wx{gate}"))?,
                     &codec,
                 )?;
-                let h_op = crate::snapshot::read_tensor_section(
+                let h_op = permdnn_core::snapshot::decode_record(
                     snap.section(&format!("{prefix}.wh{gate}"))?,
                     &codec,
                 )?;
@@ -1346,7 +1346,7 @@ impl FrozenSeq2Seq {
         };
         let encoder = load_cell("encoder", vocab)?;
         let decoder = load_cell("decoder", vocab + 1)?;
-        let head = crate::snapshot::read_tensor_section(snap.section("head.weights")?, &codec)?;
+        let head = permdnn_core::snapshot::decode_record(snap.section("head.weights")?, &codec)?;
         if head.out_dim() != vocab || head.in_dim() != hidden {
             return Err(SnapshotError::Malformed {
                 context: "seq2seq head shape",

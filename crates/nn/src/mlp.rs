@@ -362,7 +362,7 @@ impl MlpClassifier {
             snap.section("graph")?,
             |i| {
                 let section = snap.section(&format!("layer{i}.weights"))?;
-                Ok(((), crate::snapshot::read_tensor_section(section, &codec)?))
+                Ok(((), permdnn_core::snapshot::decode_record(section, &codec)?))
             },
             |i| Ok(snap.section(&format!("layer{i}.bias"))?.to_vec()),
             |layer| {

@@ -104,18 +104,6 @@ pub(crate) fn read_bias(payload: &[u8], expected: usize) -> Result<Vec<f32>, Sna
     Ok(bias)
 }
 
-/// Decodes one tensor section into an operator, requiring the section to be
-/// exactly one record.
-pub(crate) fn read_tensor_section(
-    payload: &[u8],
-    codec: &SnapshotCodec,
-) -> Result<Arc<dyn CompressedLinear>, SnapshotError> {
-    let mut r = ByteReader::new(payload);
-    let op = codec.decode_tensor(&mut r)?;
-    r.expect_end("tensor section")?;
-    Ok(op)
-}
-
 /// One layer of a frozen MLP's `"graph"` section: a linear layer (the
 /// loader's key `K` for its weights, the decoded operator, and its bias), or
 /// a ReLU or tanh of some width.
@@ -228,6 +216,8 @@ pub fn batch_model_loader() -> ModelLoader {
 
 /// Builds a [`PagedModel`] skeleton from a block-streamed
 /// ([`KIND_BLOCKED`](permdnn_core::snapshot::KIND_BLOCKED)) snapshot: the
+/// weight blocks are located from the container's own section framing
+/// ([`read_block_index`](permdnn_core::snapshot::read_block_index)), the
 /// metadata sections (layer graph, biases) load eagerly, and each weight
 /// block becomes a vacant slot the serving registry faults in on demand.
 /// Supports the blocked forms of [`KIND_MLP`] (layer chain, per-layer
@@ -246,7 +236,8 @@ pub fn batch_model_loader() -> ModelLoader {
 ///
 /// # Errors
 ///
-/// Returns a typed [`SnapshotError`] for corrupted bytes, a broken layer
+/// Returns a typed [`SnapshotError`] for corrupted bytes, a container that
+/// is not block-streamed (the retired kind 5 included), a broken layer
 /// chain, or an inner kind with no paged-serving surface.
 pub fn load_paged_model(bytes: &[u8]) -> Result<PagedModel, SnapshotError> {
     use permdnn_core::snapshot::{

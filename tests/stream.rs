@@ -6,6 +6,7 @@
 //!    [`SnapshotError`] — never a panic, never a silently different model.
 //!    Faulting single blocks in with `load_block` is held to the same
 //!    contract, and a flip inside one block fails only that block's CRC.
+//!    A container of the retired kind 5 is a typed error at every reader.
 //! 2. **Paged ≡ whole.** For every arrival generator × admission policy ×
 //!    worker count in {1, 2, 3, 7}, a registry paging blocks through a tight
 //!    budget serves outputs, batch membership and order bit-identical to an
@@ -15,14 +16,19 @@
 //!    cache budget still completes a Zipf-mix run bit-identically, with peak
 //!    resident weight bytes pinned to `budget + max_block`.
 
-use permdnn::core::snapshot::{block_stream_snapshot, load_block, read_block_index, SnapshotError};
+use permdnn::core::snapshot::{
+    block_stream_snapshot, extract_block, is_weight_block_section, load_block, read_block_index,
+    read_blocked_section, ByteWriter, Snapshot, SnapshotBuilder, SnapshotError, INNER_KIND_SECTION,
+};
 use permdnn::nn::layers::WeightFormat;
-use permdnn::nn::snapshot::{batch_model_loader, codec, load_paged_model, paged_config};
+use permdnn::nn::snapshot::{
+    batch_model_loader, codec, load_batch_model, load_paged_model, paged_config,
+};
 use permdnn::nn::MlpClassifier;
 use permdnn::runtime::{
     interleave_streams, AdmissionPolicy, BatchConfig, ModelRegistry, OnOffFlashCrowd,
-    ParallelExecutor, PoissonBurst, ServeConfig, ServiceModel, TaggedRequest, TrafficConfig,
-    TrafficReport, UniformProcess, ZipfMix,
+    ParallelExecutor, PoissonBurst, RegistryError, ServeConfig, ServiceModel, TaggedRequest,
+    TrafficConfig, TrafficReport, UniformProcess, ZipfMix,
 };
 use permdnn::tensor::init::seeded_rng;
 use proptest::prelude::*;
@@ -96,8 +102,9 @@ proptest! {
         }
     }
 
-    // Any single flipped bit is caught by the header checks, the index CRC,
-    // the per-section CRCs, or the graph validation — typed error, no panic.
+    // Any single flipped bit is caught by the header checks, the framing
+    // checks, the per-section CRCs (the inner-kind section's included), or
+    // the graph validation — typed error, no panic.
     // Faulting blocks one at a time: a flip inside block k's payload is
     // block k's checksum mismatch and leaves every other block loadable.
     #[test]
@@ -116,8 +123,8 @@ proptest! {
             .iter()
             .position(|e| (e.offset..e.offset + e.len).contains(&(pos as u64)));
         for k in 0..=index.len() {
-            // Elsewhere (header, index, metadata) a fault is Ok or a typed
-            // error; only a flip inside a block pins down which.
+            // Elsewhere (header, framing, inner kind, metadata) a fault is Ok
+            // or a typed error; only a flip inside a block pins down which.
             let fault = load_block(&blocked, k, &codec());
             match hit {
                 Some(h) if k == h => prop_assert!(
@@ -143,15 +150,17 @@ proptest! {
         }
     }
 
-    // Block extraction bounds survive a corrupted index: whatever the index
-    // claims, reading it back or faulting any block in is Ok or a typed
-    // error, never a panic or an out-of-bounds slice.
+    // Block reads stay in bounds whatever the header and the inner-kind
+    // section say: reading the index back or faulting any block in is Ok or
+    // a typed error, never a panic or an out-of-bounds slice.
     #[test]
     fn corrupt_index_entries_never_escape_bounds(pos_frac in 0.0f64..1.0, byte in 0u8..=255u8) {
         let mut blocked = block_stream_snapshot(&mlp_snapshot(1)).unwrap();
         let blocks = read_block_index(&blocked).unwrap().len();
-        // Overwrite a byte inside the leading index section specifically.
-        let index_span = 16 + 2 + "block_index".len() + 64;
+        // Overwrite a byte of the header (magic, version, kind, section
+        // count) or of the inner-kind section's frame (name length, name,
+        // payload length, payload, CRC).
+        let index_span = 16 + 2 + INNER_KIND_SECTION.len() + 8 + 2 + 4;
         let pos = ((pos_frac * index_span as f64) as usize).min(blocked.len() - 1);
         blocked[pos] = byte;
         let _ = read_block_index(&blocked).map(|ix| ix.blocks.len());
@@ -160,6 +169,61 @@ proptest! {
             let _ = load_block(&blocked, k, &codec());
         }
     }
+}
+
+/// `model` as the retired kind-5 container laid it out: a leading
+/// `"block_index"` section (the wrapped kind, the block count, then each
+/// weight section's name, format code, offset and length), then the model's
+/// sections unchanged.
+fn kind_5_container(model: &[u8]) -> Vec<u8> {
+    let snap = Snapshot::parse(model).unwrap();
+    let sections = snap.sections();
+    let weights = || {
+        sections
+            .iter()
+            .filter(|(name, _)| is_weight_block_section(name))
+    };
+    let index_len = 6 + weights().map(|(n, _)| 2 + n.len() + 18).sum::<usize>();
+    let mut offset = 16 + 2 + "block_index".len() + 8 + index_len + 4;
+    let mut index = ByteWriter::new();
+    index.u16(snap.kind());
+    index.u32(weights().count() as u32);
+    for (name, payload) in sections {
+        offset += 2 + name.len() + 8;
+        if is_weight_block_section(name) {
+            index.str(name);
+            index.bytes(&payload[..2]);
+            index.u64(offset as u64);
+            index.u64(payload.len() as u64);
+        }
+        offset += payload.len() + 4;
+    }
+    let mut b = SnapshotBuilder::new(5);
+    b.section("block_index", index.into_vec());
+    for (name, payload) in sections {
+        b.section(name, payload.clone());
+    }
+    b.finish()
+}
+
+#[test]
+fn a_retired_kind_5_container_is_a_typed_error_everywhere() {
+    let legacy = kind_5_container(&mlp_snapshot(5));
+    // Sound framing and checksums: only the kind is refused.
+    assert_eq!(Snapshot::parse(&legacy).unwrap().kind(), 5);
+    let refused = |r: Result<(), SnapshotError>| matches!(r, Err(SnapshotError::Malformed { .. }));
+    assert!(refused(read_block_index(&legacy).map(drop)));
+    assert!(refused(load_block(&legacy, 0, &codec()).map(drop)));
+    assert!(refused(extract_block(&legacy, 0).map(drop)));
+    assert!(refused(read_blocked_section(&legacy, "graph").map(drop)));
+    assert!(refused(load_paged_model(&legacy).map(drop)));
+    assert!(refused(load_batch_model(&legacy).map(drop)));
+    let mut paged = ModelRegistry::new_paged(batch_model_loader(), paged_config(), u64::MAX);
+    assert!(matches!(
+        paged.insert("legacy", legacy),
+        Err(RegistryError::Snapshot(SnapshotError::Malformed { .. }))
+    ));
+    assert!(paged.is_empty());
 }
 
 /// `crc32` checks a payload in four lanes, one per quarter of its whole
