@@ -770,7 +770,7 @@ impl Snapshot {
         let (kind, frames) = walk_frames(bytes, true)?;
         let sections = frames
             .into_iter()
-            .map(|f| (f.name, bytes[f.offset..f.offset + f.len].to_vec()))
+            .map(|f| (f.name.to_string(), bytes[f.offset..][..f.len].to_vec()))
             .collect();
         Ok(Snapshot { kind, sections })
     }
@@ -1111,10 +1111,10 @@ impl BlockIndex {
     }
 }
 
-/// One section frame located by [`walk_frames`]: its name plus the payload's
-/// position inside the file.
-struct Frame {
-    name: String,
+/// One section frame located by [`walk_frames`]: its name, borrowed from the
+/// file, plus the payload's position inside it.
+struct Frame<'a> {
+    name: &'a str,
     offset: usize,
     len: usize,
 }
@@ -1131,7 +1131,7 @@ struct Frame {
 /// its CRC as soon as it is framed, before the next frame is read: a damaged
 /// length field reports the checksum mismatch it causes, not the misframing
 /// that follows.
-fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame>), SnapshotError> {
+fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame<'_>>), SnapshotError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(MAGIC.len(), "magic").map_err(|_| {
         let mut got = [0u8; 8];
@@ -1170,12 +1170,12 @@ fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame>), Snap
                 reason: format!("length {name_len} outside 1..=255"),
             });
         }
-        let name_bytes = r.take(name_len, "section name")?;
-        let name =
-            String::from_utf8(name_bytes.to_vec()).map_err(|_| SnapshotError::Malformed {
+        let name = std::str::from_utf8(r.take(name_len, "section name")?).map_err(|_| {
+            SnapshotError::Malformed {
                 context: "section name",
                 reason: "not valid UTF-8".to_string(),
-            })?;
+            }
+        })?;
         let payload_len = r.u64("section payload length")?;
         // The over-allocation guard: the declared length must fit in the
         // bytes that are actually present (leaving room for the CRC).
@@ -1205,7 +1205,7 @@ fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame>), Snap
 
 /// [`walk_frames`] for the block readers: no payload is read, and the
 /// container must be [`KIND_BLOCKED`].
-fn walk_blocked_frames(bytes: &[u8]) -> Result<Vec<Frame>, SnapshotError> {
+fn walk_blocked_frames(bytes: &[u8]) -> Result<Vec<Frame<'_>>, SnapshotError> {
     let (kind, frames) = walk_frames(bytes, false)?;
     if kind != KIND_BLOCKED {
         return Err(SnapshotError::Malformed {
@@ -1226,7 +1226,7 @@ fn verified_payload<'a>(bytes: &'a [u8], frame: &Frame) -> Result<&'a [u8], Snap
     let computed = crc32(payload);
     if stored != computed {
         return Err(SnapshotError::ChecksumMismatch {
-            section: frame.name.clone(),
+            section: frame.name.to_string(),
             stored,
             computed,
         });
@@ -1257,23 +1257,27 @@ pub fn is_weight_block_section(name: &str) -> bool {
     name == "tensor" || name.ends_with(".weights")
 }
 
-/// Converts a model snapshot ([`KIND_TENSOR`], [`KIND_MLP`], ...) into a
-/// [`KIND_BLOCKED`] container using the [`is_weight_block_section`]
-/// convention: an [`INNER_KIND_SECTION`] holding the source's kind, then
-/// every original section unchanged, in order. The section framing is the
-/// block index, so nothing else is written.
+/// Converts a model snapshot ([`KIND_TENSOR`], [`KIND_MLP`], [`KIND_CONV`]
+/// or [`KIND_SEQ2SEQ`]) into a [`KIND_BLOCKED`] container using the
+/// [`is_weight_block_section`] convention: an [`INNER_KIND_SECTION`] holding
+/// the source's kind, then every original section unchanged, in order. The
+/// section framing is the block index, so nothing else is written.
 ///
 /// # Errors
 ///
 /// Returns a typed [`SnapshotError`] if the input is corrupt, already
-/// blocked, has no weight sections, or holds a weight section too short to
-/// carry a format code.
+/// blocked, of a kind no reader serves (a retired or unknown one), has no
+/// weight sections, or holds a weight section too short to carry a format
+/// code.
 pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
     let snap = Snapshot::parse(bytes)?;
-    if snap.kind() == KIND_BLOCKED {
+    if !(KIND_TENSOR..=KIND_SEQ2SEQ).contains(&snap.kind()) {
         return Err(SnapshotError::Malformed {
             context: "block stream source",
-            reason: "snapshot is already block-streamed".to_string(),
+            reason: match snap.kind() {
+                KIND_BLOCKED => "snapshot is already block-streamed".to_string(),
+                other => format!("kind {other} is not a model kind a reader serves"),
+            },
         });
     }
     let mut b = SnapshotBuilder::new(KIND_BLOCKED);
@@ -1282,9 +1286,9 @@ pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
         b.section(name, payload.clone());
     }
     let blocked = b.finish();
-    // Reading the index back rejects a weight section too short to carry a
+    // Walking the blocks back rejects a weight section too short to carry a
     // format code.
-    if read_block_index(&blocked)?.is_empty() {
+    if walk_blocks(&blocked)?.1.is_empty() {
         return Err(SnapshotError::Malformed {
             context: "block stream source",
             reason: "snapshot has no weight sections to block".to_string(),
@@ -1307,6 +1311,24 @@ pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
 /// inner-kind section that is missing, not first, corrupt or not exactly two
 /// bytes, and a weight section shorter than a format code.
 pub fn read_block_index(bytes: &[u8]) -> Result<BlockIndex, SnapshotError> {
+    let (inner_kind, blocks) = walk_blocks(bytes)?;
+    let blocks = blocks
+        .into_iter()
+        .map(|(f, kind)| BlockEntry {
+            name: f.name.to_string(),
+            kind,
+            offset: f.offset as u64,
+            len: f.len as u64,
+        })
+        .collect();
+    Ok(BlockIndex { inner_kind, blocks })
+}
+
+/// The walk behind [`read_block_index`] and every block read: the framing of
+/// a [`KIND_BLOCKED`] container, its CRC-checked inner kind, and each weight
+/// section's frame with the format code its record leads with, in file
+/// order. No block payload is checked.
+fn walk_blocks(bytes: &[u8]) -> Result<(u16, Vec<(Frame<'_>, u16)>), SnapshotError> {
     let mut frames = walk_blocked_frames(bytes)?.into_iter();
     let inner = match frames.next() {
         Some(f) if f.name == INNER_KIND_SECTION => f,
@@ -1320,36 +1342,26 @@ pub fn read_block_index(bytes: &[u8]) -> Result<BlockIndex, SnapshotError> {
     let inner_kind = r.u16("block container inner kind")?;
     r.expect_end("block container inner kind")?;
     let blocks = frames
-        .filter(|f| is_weight_block_section(&f.name))
+        .filter(|f| is_weight_block_section(f.name))
         .map(|f| {
             let record = &bytes[f.offset..f.offset + f.len];
-            Ok(BlockEntry {
-                kind: ByteReader::new(record).u16("block format code")?,
-                name: f.name,
-                offset: f.offset as u64,
-                len: f.len as u64,
-            })
+            Ok((f, ByteReader::new(record).u16("block format code")?))
         })
         .collect::<Result<_, SnapshotError>>()?;
-    Ok(BlockIndex { inner_kind, blocks })
+    Ok((inner_kind, blocks))
 }
 
-/// Locates block `k` of a [`KIND_BLOCKED`] container through its index and
-/// checks *only that block's* payload against its stored CRC, returning the
-/// payload borrowed in place — the shared first step of [`extract_block`]
-/// and [`load_block`].
+/// Locates block `k` of a [`KIND_BLOCKED`] container by the walk
+/// [`read_block_index`] runs and checks *only that block's* payload against
+/// its stored CRC, returning the payload borrowed in place — the shared
+/// first step of [`extract_block`] and [`load_block`].
 fn verified_block(bytes: &[u8], k: usize) -> Result<&[u8], SnapshotError> {
-    let Some(entry) = read_block_index(bytes)?.blocks.into_iter().nth(k) else {
-        return Err(SnapshotError::MissingSection {
+    match walk_blocks(bytes)?.1.get(k) {
+        Some((frame, _)) => verified_payload(bytes, frame),
+        None => Err(SnapshotError::MissingSection {
             name: format!("block {k}"),
-        });
-    };
-    let frame = Frame {
-        name: entry.name,
-        offset: entry.offset as usize,
-        len: entry.len as usize,
-    };
-    verified_payload(bytes, &frame)
+        }),
+    }
 }
 
 /// Extracts block `k` of a [`KIND_BLOCKED`] container as a standalone

@@ -70,7 +70,7 @@ pub use paging::{
 pub use pool::WorkerPool;
 pub use registry::{
     interleave_streams, ModelLoader, ModelRegistry, ModelServeStats, MultiServeReport,
-    RegistryError, RegistryStats, ResidencyMode, TaggedCompletion, TaggedRequest, TrafficReport,
+    RegistryError, RegistryStats, TaggedCompletion, TaggedRequest, TrafficReport,
 };
 pub use serve::{
     modeled_completion_ticks, plan_batches, seeded_request_stream, serve, BatchConfig, BatchModel,

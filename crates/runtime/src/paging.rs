@@ -3,19 +3,20 @@
 //! [`run_stages`] is the one batched forward of a frozen MLP, whole-loaded
 //! (`permdnn_nn::MlpClassifier`) or paged ([`PagedModel`]).
 //!
-//! A [`PagedModel`] is a *skeleton*: the full layer chain (dimensions, bias
-//! vectors, activation functions) loaded eagerly from a
+//! A [`PagedModel`] is an immutable *skeleton*: the full layer chain
+//! (dimensions, bias vectors, activation functions) loaded eagerly from a
 //! [`KIND_BLOCKED`](permdnn_core::snapshot::KIND_BLOCKED) container's
-//! metadata sections, with one vacant weight **slot** per linear stage. The
-//! registry faults blocks into slots (decoding exactly one block's bytes per
-//! fault, via [`load_block`](permdnn_core::snapshot::load_block)) and
-//! evicts cold slots to stay under its byte budget.
-//! [`PagedModel::forward_into`] runs the same stage loop with a hook that
-//! faults each stage just before it runs, so paged outputs are bit-identical
-//! to whole-loaded outputs — only the modeled ticks change, charged by the
-//! [`PagingModel`] the way pipeline hops charge `link_ticks`.
+//! metadata sections, with each linear stage naming the block that holds its
+//! weights. It holds no weights: the registry holds each resident block
+//! (decoding exactly one block's bytes per fault, via
+//! [`load_block`](permdnn_core::snapshot::load_block)) and evicts cold ones
+//! to stay under its byte budget. [`PagedModel::forward_into`] runs the same
+//! stage loop and asks its caller for each linear stage's operator just
+//! before the stage runs, so paged outputs are bit-identical to whole-loaded
+//! outputs — only the modeled ticks change, charged by the [`PagingModel`]
+//! the way pipeline hops charge `link_ticks`.
 
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 use pd_tensor::Matrix;
 use permdnn_core::format::{BatchView, CompressedLinear, FormatError};
@@ -198,8 +199,8 @@ fn map_rows(src: &BatchView<'_>, out: &mut Matrix, f: Activation) {
 }
 
 enum StageKind {
-    /// A weight stage backed by block `block` of the container, with the
-    /// operator paged in and out of `slot`. Runs as [`Stage::Linear`].
+    /// A weight stage backed by block `block` of the container, whose
+    /// operator the caller supplies. Runs as [`Stage::Linear`].
     Linear {
         block: usize,
         bytes: u64,
@@ -207,7 +208,6 @@ enum StageKind {
         out_dim: usize,
         mul_count: u64,
         bias: Vec<f32>,
-        slot: RwLock<Option<Arc<dyn CompressedLinear>>>,
     },
     /// A resident (never paged) element-wise activation.
     Activation { dim: usize, apply: Activation },
@@ -239,7 +239,6 @@ impl PagedStage {
                 out_dim,
                 mul_count,
                 bias,
-                slot: RwLock::new(None),
             },
         }
     }
@@ -278,10 +277,11 @@ impl std::fmt::Debug for PagedStage {
     }
 }
 
-/// A model skeleton whose weight stages page at block granularity. Always
-/// resident itself (the skeleton is metadata-sized); the registry owns all
-/// fault/evict *policy* and byte accounting, this type owns the slots and the
-/// bit-exact forward arithmetic.
+/// An immutable model skeleton whose weight stages page at block
+/// granularity. Always resident itself (the skeleton is metadata-sized); the
+/// registry holds the resident blocks and owns all fault/evict policy and
+/// byte accounting, this type owns the chain and the bit-exact forward
+/// arithmetic.
 #[derive(Debug)]
 pub struct PagedModel {
     in_dim: usize,
@@ -381,107 +381,52 @@ impl PagedModel {
         self.stages[s].block()
     }
 
-    /// Whether stage `s`'s weights are currently installed. Activation
-    /// stages always are.
-    pub fn is_stage_resident(&self, s: usize) -> bool {
-        match &self.stages[s].kind {
-            StageKind::Linear { slot, .. } => slot.read().expect("slot lock").is_some(),
-            StageKind::Activation { .. } => true,
-        }
-    }
-
-    /// The weight stages whose operators are installed, in stage order.
-    pub fn resident_stages(&self) -> impl Iterator<Item = usize> + '_ {
-        (0..self.stages.len())
-            .filter(|&s| self.stage_block(s).is_some() && self.is_stage_resident(s))
-    }
-
-    /// Whether any weight slot is installed.
-    pub fn any_resident(&self) -> bool {
-        self.resident_stages().next().is_some()
-    }
-
-    /// Installs a decoded operator into stage `s`'s slot.
+    /// Checks that `op`, decoded from weight stage `s`'s block, has the
+    /// shape the skeleton (and therefore every already-planned request
+    /// stream) expects.
     ///
     /// # Errors
     ///
-    /// Returns [`SnapshotError::Malformed`] if `s` is a resident stage or the
-    /// operator's shape differs from what the skeleton (and therefore every
-    /// already-planned request stream) expects.
-    pub fn install(&self, s: usize, op: Arc<dyn CompressedLinear>) -> Result<(), SnapshotError> {
-        match &self.stages[s].kind {
-            StageKind::Linear {
-                in_dim,
-                out_dim,
-                slot,
-                ..
-            } => {
-                if (op.in_dim(), op.out_dim()) != (*in_dim, *out_dim) {
-                    return Err(SnapshotError::Malformed {
-                        context: "paged install",
-                        reason: format!(
-                            "block decodes to {}x{}, stage {s} expects {out_dim}x{in_dim}",
-                            op.out_dim(),
-                            op.in_dim()
-                        ),
-                    });
-                }
-                *slot.write().expect("slot lock") = Some(op);
-                Ok(())
-            }
-            StageKind::Activation { .. } => Err(SnapshotError::Malformed {
-                context: "paged install",
-                reason: format!("stage {s} is a resident activation, not a weight slot"),
-            }),
+    /// Returns [`SnapshotError::Malformed`] for any other shape.
+    pub(crate) fn check_block(
+        &self,
+        s: usize,
+        op: &dyn CompressedLinear,
+    ) -> Result<(), SnapshotError> {
+        let (in_dim, out_dim) = self.stages[s].dims();
+        if (op.in_dim(), op.out_dim()) == (in_dim, out_dim) {
+            return Ok(());
         }
-    }
-
-    /// Drops stage `s`'s installed operator, returning whether it was
-    /// resident. Activation stages are never evictable.
-    pub fn evict_stage(&self, s: usize) -> bool {
-        match &self.stages[s].kind {
-            StageKind::Linear { slot, .. } => slot.write().expect("slot lock").take().is_some(),
-            StageKind::Activation { .. } => false,
-        }
-    }
-
-    /// Drops every installed operator, returning the block bytes freed.
-    pub fn evict_all(&self) -> u64 {
-        (0..self.stages.len())
-            .filter(|&s| self.evict_stage(s))
-            .filter_map(|s| self.stage_block(s))
-            .map(|(_, bytes)| bytes)
-            .sum()
+        Err(SnapshotError::Malformed {
+            context: "paged block",
+            reason: format!(
+                "block decodes to {}x{}, stage {s} expects {out_dim}x{in_dim}",
+                op.out_dim(),
+                op.in_dim()
+            ),
+        })
     }
 
     /// Runs a batch through the stage loop ([`run_stages`]), calling
-    /// `fault(s)` just before stage `s` runs so the caller can install its
-    /// weights. Outputs are the whole-loaded model's, bit for bit.
+    /// `operator(s)` for linear stage `s`'s weights just before it runs.
+    /// Outputs are the whole-loaded model's, bit for bit.
     ///
     /// # Errors
     ///
-    /// Returns [`FormatError::DimensionMismatch`] for a mis-sized batch,
-    /// `fault`'s error, or [`FormatError::Format`] if a linear stage runs
-    /// while its weights are not installed (a registry sequencing bug, not a
-    /// data error).
+    /// Returns [`FormatError::DimensionMismatch`] for a mis-sized batch, or
+    /// `operator`'s error.
     pub fn forward_into<E: From<FormatError>>(
         &self,
         xs: &BatchView<'_>,
         exec: &ParallelExecutor,
         out: &mut Matrix,
-        mut fault: impl FnMut(usize) -> Result<(), E>,
+        mut operator: impl FnMut(usize) -> Result<Arc<dyn CompressedLinear>, E>,
     ) -> Result<(), E> {
         permdnn_core::format::check_dim("paged forward", self.in_dim, xs.dim())?;
         run_stages(xs, exec, out, self.stages.len(), |s| {
-            fault(s)?;
             Ok(match &self.stages[s].kind {
-                StageKind::Linear { bias, slot, .. } => Stage::Linear {
-                    op: slot.read().expect("slot lock").clone().ok_or_else(|| {
-                        FormatError::Format {
-                            format: "paged",
-                            reason: format!("stage {s} executed while its block is not resident"),
-                        }
-                    })?,
+                StageKind::Linear { bias, .. } => Stage::Linear {
+                    op: operator(s)?,
                     bias,
                 },
                 StageKind::Activation { apply, .. } => Stage::Activation(*apply),
@@ -542,7 +487,7 @@ mod tests {
     }
 
     #[test]
-    fn install_run_evict_round_trip_is_bit_exact() {
+    fn supplied_operators_run_bit_exact_and_mis_shaped_blocks_are_rejected() {
         let op = pd_op(8, 8, 7);
         let model = PagedModel::new(vec![PagedStage::linear(
             0,
@@ -553,22 +498,16 @@ mod tests {
             vec![],
         )])
         .unwrap();
-        assert!(!model.is_stage_resident(0));
         let exec = ParallelExecutor::sequential();
         let x: Vec<f32> = (0..8).map(|i| (i as f32 * 0.7).sin()).collect();
         let xs = BatchView::new(&x, 1, 8).unwrap();
         let mut out = Matrix::zeros(0, 0);
-        let resident = |_| Ok::<(), FormatError>(());
-        // Vacant slot is a typed error, never a panic.
-        assert!(model.forward_into(&xs, &exec, &mut out, resident).is_err());
-        model.install(0, Arc::clone(&op)).unwrap();
-        assert!(model.is_stage_resident(0) && model.any_resident());
-        model.forward_into(&xs, &exec, &mut out, resident).unwrap();
+        let supply = |_| Ok::<_, FormatError>(Arc::clone(&op));
+        model.forward_into(&xs, &exec, &mut out, supply).unwrap();
         assert_eq!(out.row(0), &op.matvec(&x).unwrap()[..]);
-        assert_eq!(model.evict_all(), 99);
-        assert!(!model.any_resident());
-        // Shape-mismatched installs are rejected.
-        assert!(model.install(0, pd_op(12, 12, 8)).is_err());
+        // Shape-mismatched blocks are rejected.
+        assert!(model.check_block(0, op.as_ref()).is_ok());
+        assert!(model.check_block(0, pd_op(12, 12, 8).as_ref()).is_err());
     }
 
     #[test]

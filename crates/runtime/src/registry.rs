@@ -34,30 +34,35 @@
 //! loop, which every [`Cluster`](crate::Cluster) host of every topology runs
 //! too; `serve_multi` is its `Fifo`, no-shedding case.
 //!
-//! A registry built with [`ModelRegistry::new_paged`] runs in
-//! [`ResidencyMode::Paged`] — "Memory-Efficient mode": block-streamed
-//! snapshots ([`KIND_BLOCKED`]) load as metadata-sized *skeletons*
-//! ([`PagedModel`]) and the byte budget is enforced at weight-*block*
-//! granularity. Before a batch executes, the registry faults in exactly the
+//! A registry built with [`ModelRegistry::new_paged`] runs in paged mode —
+//! "Memory-Efficient mode": block-streamed snapshots ([`KIND_BLOCKED`]) load
+//! as metadata-sized, immutable *skeletons* ([`PagedModel`]) and the byte
+//! budget is enforced at weight-*block* granularity. As a batch executes,
+//! the registry hands each linear stage its block, faulting in exactly the
 //! blocks that batch's model needs (each checked against its stored CRC and
 //! decoded in place via [`load_block`], never touching the rest of the
 //! container), a deterministic prefetch hook pages the *next* scheduled
 //! batch's model in the idle gap, and eviction drops the block the call
 //! needs last, not whole models. Faults are charged ticks by a
-//! [`PagingModel`], so a model whose weights exceed `budget_bytes` serves
-//! correctly — just slower — with outputs bit-identical to an
-//! unlimited-budget whole-load run.
+//! [`PagingModel`](crate::PagingModel), so a model whose weights exceed
+//! `budget_bytes` serves correctly — just slower — with outputs
+//! bit-identical to an unlimited-budget whole-load run.
+//!
+//! The registry is the one owner of residency: each resident unit (a whole
+//! model, or one paged weight block) is one slot holding its operator and
+//! its last-use stamp, and [`ModelRegistry::loaded_bytes`] is the sum over
+//! those slots.
 
 use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use pd_tensor::Matrix;
-use permdnn_core::format::{BatchView, FormatError};
+use permdnn_core::format::{BatchView, CompressedLinear, FormatError};
 use permdnn_core::snapshot::{load_block, peek_kind, SnapshotError, KIND_BLOCKED};
 
 use crate::executor::ParallelExecutor;
-use crate::paging::{PagedConfig, PagedModel, PagingModel};
+use crate::paging::{PagedConfig, PagedModel};
 use crate::serve::{
     complete, gather, latency_percentiles, makespan, per_second, BatchModel, CompletedRequest,
     Request, ServeConfig,
@@ -95,10 +100,10 @@ pub enum RegistryError {
     },
     /// A request's input did not match its model.
     Format(FormatError),
-    /// In [`ResidencyMode::Paged`], a non-blocked snapshot larger than the
-    /// byte budget was inserted: it can neither be admitted whole nor paged.
-    /// (Whole-load mode instead admits it under the never-evict-the-routed-
-    /// model carve-out — see [`ModelRegistry::new`].)
+    /// In paged mode ([`ModelRegistry::new_paged`]), a non-blocked snapshot
+    /// larger than the byte budget was inserted: it can neither be admitted
+    /// whole nor paged. (Whole-load mode instead admits it under the
+    /// never-evict-the-routed-model carve-out — see [`ModelRegistry::new`].)
     OverBudget {
         /// The id that was being inserted.
         id: String,
@@ -164,29 +169,23 @@ impl From<FormatError> for RegistryError {
     }
 }
 
-/// How a registry keeps model weights resident.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ResidencyMode {
-    /// Models load whole and evict whole (the default,
-    /// [`ModelRegistry::new`]).
-    Whole,
-    /// Block-streamed models page weight blocks at layer granularity under
-    /// the byte budget ([`ModelRegistry::new_paged`]).
-    Paged,
-}
+/// One resident unit's slot: its operator and its last-use stamp, `None`
+/// while the unit is not resident. Stamps come from the registry clock, which
+/// whole models and blocks share, and break the victim rule's ties among
+/// units with no use left.
+type Slot<T> = Option<(T, u64)>;
 
 /// How one entry's weights are held.
 enum Residency {
-    /// The whole-snapshot cache: `Some` while resident, rebuilt from bytes
-    /// on demand after eviction.
-    Whole(Option<Arc<dyn BatchModel>>),
-    /// A block-paged skeleton: always resident itself (metadata-sized), its
-    /// weight slots fault in and out. `stamps[s]` is stage `s`'s last-use
-    /// stamp (shares the registry clock with whole entries; 0 = never
-    /// resident), the victim rule's tie-break among units with no use left.
+    /// The whole model, rebuilt from the snapshot bytes on demand after
+    /// eviction.
+    Whole(Slot<Arc<dyn BatchModel>>),
+    /// A block-paged skeleton, always resident itself (metadata-sized), and
+    /// one slot per stage: `blocks[s]` holds linear stage `s`'s block while
+    /// it is resident (activation stages never fill theirs).
     Paged {
         model: Arc<PagedModel>,
-        stamps: Vec<u64>,
+        blocks: Vec<Slot<Arc<dyn CompressedLinear>>>,
     },
 }
 
@@ -205,14 +204,12 @@ impl Loaded {
     }
 }
 
-/// One registered model: its durable snapshot plus the (evictable) loaded
-/// instance and its last-use stamp. The input/output widths are recorded at
-/// insert time so hot swaps can be shape-checked even while the model
-/// itself is evicted.
+/// One registered model: its durable snapshot plus the slots of its
+/// resident units. The input/output widths are recorded at insert time so
+/// hot swaps can be shape-checked even while the model itself is evicted.
 struct ModelEntry {
     snapshot: Arc<Vec<u8>>,
     residency: Residency,
-    last_used: u64,
     in_dim: usize,
     out_dim: usize,
     /// Per-example multiplication cost, recorded at insert time so admission
@@ -223,6 +220,34 @@ struct ModelEntry {
     slo: Option<SloTarget>,
 }
 
+impl ModelEntry {
+    /// The resident units as `(stage, stamp)`: a whole model is stage 0.
+    fn units(&self) -> impl Iterator<Item = (usize, u64)> + '_ {
+        let (whole, blocks) = match &self.residency {
+            Residency::Whole(slot) => (slot.as_ref(), &[][..]),
+            Residency::Paged { blocks, .. } => (None, &blocks[..]),
+        };
+        let blocks = blocks.iter().enumerate();
+        let whole = whole.map(|(_, stamp)| (0, *stamp));
+        whole
+            .into_iter()
+            .chain(blocks.filter_map(|(s, slot)| Some((s, slot.as_ref()?.1))))
+    }
+
+    /// The bytes the resident units hold: the snapshot's length for a whole
+    /// model, each resident block's bytes for a paged one.
+    fn resident_bytes(&self) -> u64 {
+        match &self.residency {
+            Residency::Whole(slot) => slot.as_ref().map_or(0, |_| self.snapshot.len() as u64),
+            Residency::Paged { model, .. } => self
+                .units()
+                .filter_map(|(s, _)| model.stage_block(s))
+                .map(|(_, bytes)| bytes)
+                .sum(),
+        }
+    }
+}
+
 /// Counters the registry accumulates across its lifetime.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct RegistryStats {
@@ -231,16 +256,16 @@ pub struct RegistryStats {
     pub loads: u64,
     /// Reloads of a previously evicted model (cache misses after warm-up).
     pub reloads: u64,
-    /// Evictions performed to respect the byte budget: whole models in
-    /// [`ResidencyMode::Whole`], and individual weight blocks too in
-    /// [`ResidencyMode::Paged`].
+    /// Evictions performed to respect the byte budget: whole models, and in
+    /// paged mode ([`ModelRegistry::new_paged`]) individual weight blocks
+    /// too.
     pub evictions: u64,
     /// Hot swaps applied.
     pub swaps: u64,
     /// Scheduled hot swaps dropped because the replacement failed to load,
     /// was mis-shaped or over budget, or its id was unknown.
     pub swaps_dropped: u64,
-    /// Weight blocks faulted into paged models' slots (demand faults and
+    /// Weight blocks faulted in for paged models (demand faults and
     /// prefetches alike).
     pub blocks_faulted: u64,
     /// Snapshot bytes streamed by those block faults.
@@ -479,11 +504,10 @@ pub fn interleave_streams(streams: Vec<(String, Vec<Request>)>) -> Vec<TaggedReq
 /// recently used) and atomic between-batch hot swaps.
 pub struct ModelRegistry {
     loader: ModelLoader,
-    /// `Some` puts the registry in [`ResidencyMode::Paged`].
+    /// `Some` puts the registry in paged mode.
     paged: Option<PagedConfig>,
     budget_bytes: u64,
     entries: BTreeMap<String, ModelEntry>,
-    loaded_bytes: u64,
     clock: u64,
     stats: RegistryStats,
     /// Resident-byte high-water mark of the current serving run, re-seeded
@@ -497,7 +521,7 @@ impl std::fmt::Debug for ModelRegistry {
         f.debug_struct("ModelRegistry")
             .field("models", &self.entries.keys().collect::<Vec<_>>())
             .field("budget_bytes", &self.budget_bytes)
-            .field("loaded_bytes", &self.loaded_bytes)
+            .field("loaded_bytes", &self.loaded_bytes())
             .field("stats", &self.stats)
             .finish()
     }
@@ -521,7 +545,6 @@ impl ModelRegistry {
             paged: None,
             budget_bytes,
             entries: BTreeMap::new(),
-            loaded_bytes: 0,
             clock: 0,
             stats: RegistryStats::default(),
             run_peak: 0,
@@ -529,31 +552,16 @@ impl ModelRegistry {
         }
     }
 
-    /// An empty registry in [`ResidencyMode::Paged`] — "Memory-Efficient
-    /// mode". Blocked snapshots ([`KIND_BLOCKED`]) load as skeletons through
-    /// `paged.loader` and page weight blocks under `budget_bytes` at layer
-    /// granularity, each fault charged ticks by `paged.paging`; non-blocked
-    /// snapshots still load whole, but only if they fit the budget
-    /// (otherwise [`RegistryError::OverBudget`]).
+    /// An empty registry in paged mode — "Memory-Efficient mode". Blocked
+    /// snapshots ([`KIND_BLOCKED`]) load as skeletons through `paged.loader`
+    /// and page weight blocks under `budget_bytes` at layer granularity,
+    /// each fault charged ticks by `paged.paging`; non-blocked snapshots
+    /// still load whole, but only if they fit the budget (otherwise
+    /// [`RegistryError::OverBudget`]).
     pub fn new_paged(loader: ModelLoader, paged: PagedConfig, budget_bytes: u64) -> Self {
         let mut reg = ModelRegistry::new(loader, budget_bytes);
         reg.paged = Some(paged);
         reg
-    }
-
-    /// Which residency mode this registry runs in.
-    pub fn residency_mode(&self) -> ResidencyMode {
-        if self.paged.is_some() {
-            ResidencyMode::Paged
-        } else {
-            ResidencyMode::Whole
-        }
-    }
-
-    /// The tick cost model paged faults are charged with (`None` in
-    /// whole-load mode).
-    pub fn paging_model(&self) -> Option<PagingModel> {
-        self.paged.as_ref().map(|p| p.paging)
     }
 
     /// Registers (or replaces) a model under `id`. The snapshot is validated
@@ -621,9 +629,9 @@ impl ModelRegistry {
     }
 
     /// Replaces (or creates) `id`'s entry with an already-validated load:
-    /// the shared tail of insert and swap. Whole loads count their snapshot
-    /// bytes resident immediately; paged skeletons start cold (every slot
-    /// vacant, zero resident bytes). Evictions it forces follow `now`.
+    /// the shared tail of insert and swap. The replaced entry's units drop
+    /// with it. Whole loads are resident immediately; paged skeletons start
+    /// cold (every slot vacant). Evictions it forces follow `now`.
     fn install_entry(
         &mut self,
         id: &str,
@@ -632,26 +640,22 @@ impl ModelRegistry {
         loaded: Loaded,
         now: Now<'_>,
     ) {
-        self.evict_entry_model(id);
-        let size = snapshot.len() as u64;
         self.clock += 1;
-        let (in_dim, out_dim, mul_count, residency, resident_bytes) = match loaded {
+        let (in_dim, out_dim, mul_count, residency) = match loaded {
             Loaded::Whole(m) => (
                 m.in_dim(),
                 m.out_dim(),
                 m.mul_count_per_example(),
-                Residency::Whole(Some(m)),
-                size,
+                Residency::Whole(Some((m, self.clock))),
             ),
             Loaded::Paged(m) => (
                 m.in_dim(),
                 m.out_dim(),
                 m.mul_count_per_example(),
                 Residency::Paged {
-                    stamps: vec![0; m.stages()],
+                    blocks: vec![None; m.stages()],
                     model: m,
                 },
-                0,
             ),
         };
         self.entries.insert(
@@ -662,12 +666,10 @@ impl ModelRegistry {
                 out_dim,
                 mul_count,
                 residency,
-                last_used: self.clock,
                 slo,
             },
         );
         self.stats.loads = self.stats.loads.saturating_add(1);
-        self.loaded_bytes += resident_bytes;
         self.note_peak();
         self.enforce_budget(Some(id), now);
     }
@@ -675,8 +677,9 @@ impl ModelRegistry {
     /// Records a new resident-byte high-water mark, lifetime and run, if one
     /// was just set.
     fn note_peak(&mut self) {
-        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(self.loaded_bytes);
-        self.run_peak = self.run_peak.max(self.loaded_bytes);
+        let loaded = self.loaded_bytes();
+        self.stats.peak_resident_bytes = self.stats.peak_resident_bytes.max(loaded);
+        self.run_peak = self.run_peak.max(loaded);
     }
 
     /// Attaches (or, with `None`, detaches) a service-level objective on a
@@ -768,7 +771,6 @@ impl ModelRegistry {
     /// (or, via [`ModelRegistry::insert`]'s SLO carry-over, an SLO target)
     /// aimed at the one that was removed.
     pub fn remove(&mut self, id: &str) -> bool {
-        self.evict_entry_model(id);
         self.pending_swaps.retain(|(_, swap_id, _)| swap_id != id);
         self.entries.remove(id).is_some()
     }
@@ -794,28 +796,26 @@ impl ModelRegistry {
     }
 
     /// Whether any of `id`'s weights are currently materialised in the
-    /// weight cache: the whole model in [`ResidencyMode::Whole`], at least
-    /// one weight block for a paged model.
+    /// weight cache: the whole model, or at least one weight block of a
+    /// paged model.
     pub fn is_resident(&self, id: &str) -> bool {
-        self.entries.get(id).is_some_and(|e| match &e.residency {
-            Residency::Whole(m) => m.is_some(),
-            Residency::Paged { model, .. } => model.any_resident(),
-        })
+        self.entries
+            .get(id)
+            .is_some_and(|e| e.units().next().is_some())
     }
 
     /// Resident weight blocks of a paged model. `None` for unknown or
     /// whole-loaded ids.
     pub fn resident_blocks(&self, id: &str) -> Option<usize> {
-        match &self.entries.get(id)?.residency {
-            Residency::Paged { model, .. } => Some(model.resident_stages().count()),
-            Residency::Whole(_) => None,
-        }
+        let entry = self.entries.get(id)?;
+        matches!(entry.residency, Residency::Paged { .. }).then(|| entry.units().count())
     }
 
-    /// Bytes currently resident: whole models count their snapshot size,
-    /// paged models count exactly their resident blocks.
+    /// Bytes currently resident, summed over the resident units: whole
+    /// models count their snapshot size, paged models exactly their resident
+    /// blocks.
     pub fn loaded_bytes(&self) -> u64 {
-        self.loaded_bytes
+        self.entries.values().map(ModelEntry::resident_bytes).sum()
     }
 
     /// The registry's lifetime counters.
@@ -835,7 +835,7 @@ impl ModelRegistry {
             .ok_or_else(|| RegistryError::UnknownModel { id: id.to_string() })
     }
 
-    /// Resolves `id` to a servable model: stamps its last use, rebuilds the
+    /// Resolves `id` to a servable model: records its last use, rebuilds the
     /// model from its snapshot if it was evicted, and evicts *other* units
     /// while the resident total exceeds the budget. No call is running, so
     /// the least recently used go first.
@@ -854,25 +854,23 @@ impl ModelRegistry {
     /// [`ModelRegistry::model`] at a call's position `now`, which any
     /// eviction it forces follows.
     fn model_at(&mut self, id: &str, now: Now<'_>) -> Result<Arc<dyn BatchModel>, RegistryError> {
-        if !self.entries.contains_key(id) {
+        let Some(entry) = self.entries.get_mut(id) else {
             return Err(RegistryError::UnknownModel { id: id.to_string() });
-        }
+        };
         self.clock += 1;
-        let clock = self.clock;
-        let entry = self.entries.get_mut(id).expect("checked above");
-        entry.last_used = clock;
-        let snapshot = Arc::clone(&entry.snapshot);
         let model = match &mut entry.residency {
             Residency::Paged { .. } => {
                 return Err(RegistryError::PagedResidency { id: id.to_string() })
             }
-            Residency::Whole(Some(m)) => Arc::clone(m),
+            Residency::Whole(Some((m, stamp))) => {
+                *stamp = self.clock;
+                Arc::clone(m)
+            }
             Residency::Whole(slot @ None) => {
-                let m = (self.loader)(&snapshot)?;
-                *slot = Some(Arc::clone(&m));
+                let m = (self.loader)(&entry.snapshot)?;
+                *slot = Some((Arc::clone(&m), self.clock));
                 self.stats.loads = self.stats.loads.saturating_add(1);
                 self.stats.reloads = self.stats.reloads.saturating_add(1);
-                self.loaded_bytes += snapshot.len() as u64;
                 self.note_peak();
                 m
             }
@@ -881,79 +879,44 @@ impl ModelRegistry {
         Ok(model)
     }
 
-    /// Drops `id`'s loaded weights (keeping its snapshot and, for paged
-    /// entries, the skeleton), adjusting the resident-byte total.
-    fn evict_entry_model(&mut self, id: &str) {
-        if let Some(entry) = self.entries.get_mut(id) {
-            match &mut entry.residency {
-                Residency::Whole(slot) => {
-                    if slot.take().is_some() {
-                        self.loaded_bytes -= entry.snapshot.len() as u64;
-                    }
-                }
-                Residency::Paged { model, stamps } => {
-                    self.loaded_bytes -= model.evict_all();
-                    stamps.fill(0);
-                }
-            }
-        }
-    }
-
     /// Evicts one resident *unit* — a whole model or one paged weight block
-    /// — skipping `keep` (whole entries only; block faults pin nothing, the
-    /// incoming block is not resident yet). Returns whether anything was
-    /// evicted.
+    /// — never one of `keep`'s (a block fault pins nothing: the incoming
+    /// block is not resident yet). Returns whether anything was evicted.
     ///
     /// The victim is the unit whose next use in the running call is
     /// farthest from `now` (Belady's rule over the call's known schedule).
     /// Units the call needs no more go first, least recently used first, so
     /// with no call running ([`Now::IDLE`]) the rule is plain LRU. Next uses
-    /// are distinct per unit and last-use stamps are unique (the clock
-    /// strictly increments and both kinds share it), so the victim is
-    /// deterministic.
+    /// are distinct per unit and no two slots hold the same last-use stamp
+    /// (the clock strictly increments and both kinds share it), so the
+    /// victim is deterministic.
     fn evict_unit(&mut self, keep: Option<&str>, now: Now<'_>) -> bool {
         let victim = self
             .entries
             .iter()
-            .flat_map(|(id, e)| match &e.residency {
-                Residency::Whole(Some(_)) if Some(id.as_str()) != keep => {
-                    vec![(e.last_used, id, None)]
-                }
-                Residency::Paged { model, stamps } => model
-                    .resident_stages()
-                    .map(|s| (stamps[s], id, Some(s)))
-                    .collect(),
-                _ => Vec::new(),
-            })
-            .max_by_key(|&(stamp, id, stage)| {
-                let next = now.next_use(id, stage.unwrap_or(0));
+            .filter(|(id, _)| Some(id.as_str()) != keep)
+            .flat_map(|(id, e)| e.units().map(move |(s, stamp)| (id, s, stamp)))
+            .max_by_key(|&(id, s, stamp)| {
+                let next = now.next_use(id, s);
                 (next.is_none(), next, Reverse(stamp))
             })
-            .map(|(_, id, stage)| (id.clone(), stage));
-        let Some((id, stage)) = victim else {
+            .map(|(id, s, _)| (id.clone(), s));
+        let Some((id, s)) = victim else {
             return false;
         };
-        match stage {
-            None => self.evict_entry_model(&id),
-            Some(s) => {
-                let entry = self.entries.get(&id).expect("victim ids are registered");
-                let Residency::Paged { model, .. } = &entry.residency else {
-                    unreachable!("block victims come from paged entries");
-                };
-                let (_, bytes) = model.stage_block(s).expect("victims are weight stages");
-                if model.evict_stage(s) {
-                    self.loaded_bytes -= bytes;
-                }
-            }
+        let entry = self.entries.get_mut(&id).expect("victims are registered");
+        match &mut entry.residency {
+            Residency::Whole(slot) => *slot = None,
+            Residency::Paged { blocks, .. } => blocks[s] = None,
         }
         self.stats.evictions = self.stats.evictions.saturating_add(1);
         true
     }
 
-    /// Evicts resident units (never `keep`) by the victim rule at `now`
+    /// Evicts resident units (never `keep`'s) by the victim rule at `now`
     /// until the byte budget is respected or nothing evictable remains.
     fn enforce_budget(&mut self, keep: Option<&str>, now: Now<'_>) {
-        while self.loaded_bytes > self.budget_bytes {
+        while self.loaded_bytes() > self.budget_bytes {
             if !self.evict_unit(keep, now) {
                 break;
             }
@@ -966,47 +929,53 @@ impl ModelRegistry {
     /// needs pinning; resident bytes therefore never exceed
     /// `max(budget, largest block)`.
     fn make_room_for(&mut self, incoming: u64, now: Now<'_>) {
-        while self.loaded_bytes.saturating_add(incoming) > self.budget_bytes {
+        while self.loaded_bytes().saturating_add(incoming) > self.budget_bytes {
             if !self.evict_unit(None, now) {
                 break;
             }
         }
     }
 
-    /// Ensures stage `s` of paged model `id` is resident, returning the
-    /// modeled ticks the fault cost (0 if it was already resident or is a
-    /// never-paged stage). Decodes exactly that stage's block in place after
-    /// one check against its stored CRC — the rest of the container
-    /// untouched. Room for it is made by the victim rule at `now`.
-    fn fault_stage(&mut self, id: &str, s: usize, now: Now<'_>) -> Result<u64, RegistryError> {
-        let (model, snapshot) = {
-            let entry = self.entries.get(id).expect("fault callers check the id");
-            let Residency::Paged { model, .. } = &entry.residency else {
-                unreachable!("fault_stage is only called on paged entries");
-            };
-            (Arc::clone(model), Arc::clone(&entry.snapshot))
-        };
-        let Some((block, bytes)) = model.stage_block(s) else {
-            return Ok(0);
-        };
+    /// Stamps linear stage `s` of paged model `id` used and returns its
+    /// operator with the modeled ticks the fault cost (0 if the block was
+    /// already resident). A missing block is decoded in place after one
+    /// check against its stored CRC — the rest of the container untouched —
+    /// and checked against the skeleton's shape before it is cached. Room
+    /// for it is made by the victim rule at `now`.
+    fn fault_stage(
+        &mut self,
+        id: &str,
+        s: usize,
+        now: Now<'_>,
+    ) -> Result<(Arc<dyn CompressedLinear>, u64), RegistryError> {
         self.clock += 1;
-        let mut ticks = 0;
-        if !model.is_stage_resident(s) {
-            self.make_room_for(bytes, now);
-            let paged = self.paged.as_ref().expect("paged entries imply paged mode");
-            model.install(s, load_block(&snapshot, block, &paged.codec)?)?;
-            ticks = paged.paging.fault_ticks(bytes);
-            self.loaded_bytes += bytes;
-            self.note_peak();
-            self.stats.blocks_faulted = self.stats.blocks_faulted.saturating_add(1);
-            self.stats.bytes_faulted = self.stats.bytes_faulted.saturating_add(bytes);
+        let entry = self
+            .entries
+            .get_mut(id)
+            .expect("fault callers check the id");
+        let Residency::Paged { model, blocks } = &mut entry.residency else {
+            unreachable!("fault_stage is only called on paged entries");
+        };
+        if let Some((op, stamp)) = &mut blocks[s] {
+            *stamp = self.clock;
+            return Ok((Arc::clone(op), 0));
         }
-        if let Some(Residency::Paged { stamps, .. }) =
+        let (model, snapshot) = (Arc::clone(model), Arc::clone(&entry.snapshot));
+        let (block, bytes) = model.stage_block(s).expect("only weight stages fault");
+        self.make_room_for(bytes, now);
+        let paged = self.paged.as_ref().expect("paged entries imply paged mode");
+        let op = load_block(&snapshot, block, &paged.codec)?;
+        model.check_block(s, op.as_ref())?;
+        let ticks = paged.paging.fault_ticks(bytes);
+        if let Some(Residency::Paged { blocks, .. }) =
             self.entries.get_mut(id).map(|e| &mut e.residency)
         {
-            stamps[s] = self.clock;
+            blocks[s] = Some((Arc::clone(&op), self.clock));
         }
-        Ok(ticks)
+        self.note_peak();
+        self.stats.blocks_faulted = self.stats.blocks_faulted.saturating_add(1);
+        self.stats.bytes_faulted = self.stats.bytes_faulted.saturating_add(bytes);
+        Ok((op, ticks))
     }
 
     /// The deterministic prefetch hook: pages `id`'s weight blocks in stage
@@ -1030,17 +999,18 @@ impl ModelRegistry {
             if cumulative > self.budget_bytes {
                 break;
             }
-            ticks = ticks.saturating_add(self.fault_stage(id, s, now)?);
+            ticks = ticks.saturating_add(self.fault_stage(id, s, now)?.1);
         }
         Ok(ticks)
     }
 
-    /// Runs one batch through a paged model, demand-faulting each stage just
-    /// before it executes, and writes the batch outputs into `outputs`.
-    /// Returns the total demand-fault ticks. The stage loop is the
-    /// whole-loaded model's ([`crate::paging::run_stages`]), so outputs are
-    /// independent of residency history. `now` is the batch's start; the
-    /// fault of stage `s` stands at its stage `s`.
+    /// Runs one batch through a paged model, handing each linear stage its
+    /// block (demand-faulted just before the stage executes), and writes the
+    /// batch outputs into `outputs`. Returns the total demand-fault ticks.
+    /// The stage loop is the whole-loaded model's
+    /// ([`crate::paging::run_stages`]), so outputs are independent of
+    /// residency history. `now` is the batch's start; the fault of stage `s`
+    /// stands at its stage `s`.
     fn paged_forward(
         &mut self,
         id: &str,
@@ -1049,23 +1019,16 @@ impl ModelRegistry {
         outputs: &mut Matrix,
         now: Now<'_>,
     ) -> Result<u64, RegistryError> {
-        self.clock += 1;
-        let clock = self.clock;
-        let model = {
-            let entry = self
-                .entries
-                .get_mut(id)
-                .expect("serve routes registered ids");
-            entry.last_used = clock;
-            let Residency::Paged { model, .. } = &entry.residency else {
-                unreachable!("paged_forward is only called on paged entries");
-            };
-            Arc::clone(model)
+        let entry = self.entries.get(id).expect("serve routes registered ids");
+        let Residency::Paged { model, .. } = &entry.residency else {
+            unreachable!("paged_forward is only called on paged entries");
         };
+        let model = Arc::clone(model);
         let mut fault_ticks = 0u64;
         model.forward_into(xs, exec, outputs, |s| {
-            fault_ticks = fault_ticks.saturating_add(self.fault_stage(id, s, now.stage(s))?);
-            Ok::<(), RegistryError>(())
+            let (op, ticks) = self.fault_stage(id, s, now.stage(s))?;
+            fault_ticks = fault_ticks.saturating_add(ticks);
+            Ok::<_, RegistryError>(op)
         })?;
         Ok(fault_ticks)
     }
@@ -1205,7 +1168,7 @@ impl ModelRegistry {
         // The run reports its counters as deltas from here, and its own
         // resident-byte high-water mark from what is resident now.
         let before = self.stats;
-        self.run_peak = self.loaded_bytes;
+        self.run_peak = self.loaded_bytes();
         // The ids move out of the batches, so the next-use table can borrow
         // them while the batches are consumed.
         let ids: Vec<String> = batches
@@ -1298,6 +1261,7 @@ impl ModelRegistry {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::paging::PagingModel;
     use crate::serve::{BatchConfig, ServiceModel, SingleLayerModel};
     use permdnn_core::snapshot::{load_tensor, save_tensor, SnapshotCodec};
     use permdnn_core::BlockPermDiagMatrix;
@@ -1369,7 +1333,7 @@ mod tests {
             m.forward_batch(&xs, &ParallelExecutor::sequential())
                 .unwrap()
         };
-        reg.evict_entry_model("m");
+        reg.evict_unit(None, Now::IDLE);
         assert!(!reg.is_resident("m"));
         let after = {
             let m = reg.model("m").unwrap();
@@ -1753,7 +1717,6 @@ mod tests {
 
         let mut whole = ModelRegistry::new(tensor_loader(), u64::MAX);
         let mut paged = ModelRegistry::new_paged(tensor_loader(), paged_cfg(), budget);
-        assert_eq!(paged.residency_mode(), ResidencyMode::Paged);
         for (i, (snap, blk)) in snaps.iter().zip(&blocked).enumerate() {
             whole.insert(&format!("m{i}"), snap.clone()).unwrap();
             paged.insert(&format!("m{i}"), blk.clone()).unwrap();
@@ -2148,14 +2111,14 @@ mod tests {
         assert_eq!(reg.stats().swaps_dropped, u64::MAX);
     }
 
-    /// The bytes `reg`'s resident units hold: each resident whole snapshot's
+    /// The bytes `reg`'s filled slots hold: each resident whole snapshot's
     /// length plus each resident block's bytes.
     fn resident_unit_bytes(reg: &ModelRegistry) -> u64 {
         let entry_bytes = |e: &ModelEntry| match &e.residency {
-            Residency::Whole(m) => m.as_ref().map_or(0, |_| e.snapshot.len() as u64),
-            Residency::Paged { model, .. } => model
-                .resident_stages()
-                .map(|s| model.stage_block(s).expect("weight stages page").1)
+            Residency::Whole(slot) => slot.as_ref().map_or(0, |_| e.snapshot.len() as u64),
+            Residency::Paged { model, blocks } => (0..blocks.len())
+                .filter(|&s| blocks[s].is_some())
+                .map(|s| model.stage_block(s).expect("only weight stages fill").1)
                 .sum(),
         };
         reg.entries.values().map(entry_bytes).sum()
@@ -2163,9 +2126,9 @@ mod tests {
 
     #[test]
     fn loaded_bytes_always_equals_the_resident_units_bytes() {
-        // `loaded_bytes` adds and subtracts plainly, so it must track the
-        // resident units exactly through every path that moves it, whole and
-        // paged, at a budget tight enough to evict.
+        // `loaded_bytes` is derived from the slots, so it must equal the
+        // bytes the filled slots hold through every path that fills or
+        // empties one, whole and paged, at a budget tight enough to evict.
         let check = |reg: &ModelRegistry, step: &str| {
             assert_eq!(reg.loaded_bytes(), resident_unit_bytes(reg), "after {step}");
         };

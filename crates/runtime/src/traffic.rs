@@ -30,7 +30,8 @@
 //!
 //! Invalid configurations (zero rate, empty model mix, Zipf exponent ≤ 0, …)
 //! are rejected with a typed [`TrafficError`] at construction time instead of
-//! panicking mid-stream.
+//! panicking mid-stream. Arrival ticks saturate at `u64::MAX` instead of
+//! wrapping, so every stream is sorted whatever the gaps add up to.
 
 use pd_tensor::init::seeded_rng;
 use rand::Rng;
@@ -158,7 +159,8 @@ impl UniformProcess {
         (0..n_requests as u64)
             .map(|id| {
                 if self.mean_interarrival_ticks > 0.0 {
-                    tick += exponential_gap(&mut rng, self.mean_interarrival_ticks);
+                    tick = tick
+                        .saturating_add(exponential_gap(&mut rng, self.mean_interarrival_ticks));
                 }
                 Request {
                     id,
@@ -230,7 +232,7 @@ impl PoissonBurst {
         let mut tick = 0u64;
         let mut out = Vec::with_capacity(n_requests);
         while out.len() < n_requests {
-            tick += exponential_gap(&mut rng, self.mean_interarrival_ticks);
+            tick = tick.saturating_add(exponential_gap(&mut rng, self.mean_interarrival_ticks));
             let count = if rng.gen_bool(self.burst_probability) {
                 self.burst_size
             } else {
@@ -297,11 +299,13 @@ impl OnOffFlashCrowd {
     }
 
     /// Maps a position on the active-time axis to the absolute tick timeline
-    /// (each completed ON window is followed by an OFF window).
+    /// (each completed ON window is followed by an OFF window), saturating at
+    /// `u64::MAX`.
     fn absolute_tick(&self, active: u64) -> u64 {
         let cycles = active / self.on_ticks;
         let within = active % self.on_ticks;
-        cycles * (self.on_ticks + self.off_ticks) + within
+        let cycle_ticks = self.on_ticks.saturating_add(self.off_ticks);
+        cycles.saturating_mul(cycle_ticks).saturating_add(within)
     }
 
     /// Generates `n_requests` requests, ids `0..n`, sorted by arrival tick
@@ -311,7 +315,8 @@ impl OnOffFlashCrowd {
         let mut active = 0u64;
         (0..n_requests as u64)
             .map(|id| {
-                active += exponential_gap(&mut rng, self.on_mean_interarrival_ticks);
+                active = active
+                    .saturating_add(exponential_gap(&mut rng, self.on_mean_interarrival_ticks));
                 Request {
                     id,
                     arrival_tick: self.absolute_tick(active),
@@ -401,7 +406,8 @@ impl ZipfMix {
         (0..n_requests as u64)
             .map(|id| {
                 if self.mean_interarrival_ticks > 0.0 {
-                    tick += exponential_gap(&mut rng, self.mean_interarrival_ticks);
+                    tick = tick
+                        .saturating_add(exponential_gap(&mut rng, self.mean_interarrival_ticks));
                 }
                 let mut draw: f64 = rng.gen_range(0.0..total);
                 let mut rank = self.models.len() - 1;

@@ -8,9 +8,9 @@
 //!    `BatchModel::forward_batch_into` (the stage loop), at batch 1 and 32 on
 //!    a one-worker executor and at batch 1 on a two-worker one (which runs
 //!    the batch inline);
-//! 2. the same MLPs block-streamed, with every block resident, through
-//!    `PagedModel::forward_into` (the entry the registry's paged forward
-//!    uses);
+//! 2. the same MLPs block-streamed, with every block decoded and handed to
+//!    `PagedModel::forward_into` as its stage asks for it (the entry the
+//!    registry's paged forward uses, with the registry's resident blocks);
 //! 3. `SingleLayerModel`.
 //!
 //! What still allocates is out of scope here: a sharded call's dispatch
@@ -29,10 +29,11 @@
 //! seen.
 //!
 //! Block faults are pinned at the counts measured: checking and decoding
-//! one 512² block through `load_block` makes at most 19 allocations for
+//! one 512² block through `load_block` makes at most 11 allocations for
 //! circulant (k = 8, 4,096 circulant blocks, the wall-clock benchmark's
-//! paged circulant layer), 16 for PD p=4 and 20 for q16 PD p=8, and the
-//! `crc32` each fault runs makes none.
+//! paged circulant layer), 8 for PD p=4 and 12 for q16 PD p=8, and the
+//! `crc32` each fault runs makes none. Locating the block walks the
+//! container's framing with section names borrowed from the file.
 //!
 //! This file holds the workspace's only `unsafe` code: the `GlobalAlloc`
 //! impl, which forwards every call to `System`.
@@ -183,18 +184,17 @@ fn resident_paged_mlps_allocate_nothing_per_batch() {
     for (label, model) in models() {
         let blocked = block_stream_snapshot(&model.save().unwrap()).unwrap();
         let paged = load_paged_model(&blocked).unwrap();
-        for s in 0..paged.stages() {
-            if let Some((block, _)) = paged.stage_block(s) {
-                paged
-                    .install(s, load_block(&blocked, block, &codec).unwrap())
-                    .unwrap();
-            }
-        }
+        let blocks: Vec<_> = (0..paged.stages())
+            .map(|s| {
+                let (block, _) = paged.stage_block(s)?;
+                Some(load_block(&blocked, block, &codec).unwrap())
+            })
+            .collect();
         for (workers, batch) in RUNS {
             let exec = ParallelExecutor::new(workers);
             let xs = BatchView::new(&xs_mat.as_slice()[..batch * IN_DIM], batch, IN_DIM).unwrap();
             let mut out = Matrix::zeros(0, 0);
-            let resident = |_| Ok::<(), FormatError>(());
+            let resident = |s: usize| Ok::<_, FormatError>(Arc::clone(blocks[s].as_ref().unwrap()));
             let n = allocations_per_call(|| {
                 paged.forward_into(&xs, &exec, &mut out, resident).unwrap()
             });
@@ -263,14 +263,14 @@ fn first_block_fault_allocations(label: &str, model: &MlpClassifier) -> u64 {
 fn a_circulant_block_fault_allocates_a_bounded_number_of_times() {
     let model = wide_mlp(WeightFormat::Circulant { k: 8 }, 0xC1C);
     let n = first_block_fault_allocations("circulant k=8", &model);
-    assert!(n <= 19, "{n} allocations per warm circulant block load");
+    assert!(n <= 11, "{n} allocations per warm circulant block load");
 }
 
 #[test]
 fn a_pd_block_fault_allocates_a_bounded_number_of_times() {
     let model = wide_mlp(WeightFormat::PermutedDiagonal { p: 4 }, 0x9D4);
     let n = first_block_fault_allocations("PD p=4", &model);
-    assert!(n <= 16, "{n} allocations per warm PD p=4 block load");
+    assert!(n <= 8, "{n} allocations per warm PD p=4 block load");
 }
 
 #[test]
@@ -279,7 +279,7 @@ fn a_q16_pd_block_fault_allocates_a_bounded_number_of_times() {
         .quantize(&calibration(512))
         .0;
     let n = first_block_fault_allocations("q16 PD p=8", &model);
-    assert!(n <= 20, "{n} allocations per warm q16 PD p=8 block load");
+    assert!(n <= 12, "{n} allocations per warm q16 PD p=8 block load");
 }
 
 #[test]

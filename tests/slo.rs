@@ -13,15 +13,19 @@
 //! 4. The `ModelRegistry`'s weight cache under Zipf-skewed interleaved
 //!    traffic keeps the hot model resident, evicts and reloads the cold one,
 //!    and never changes a served bit.
+//! 5. No generator's ticks wrap: at gaps whose sum passes `u64::MAX`, every
+//!    stream stays sorted and ends at `u64::MAX`, and `plan_batches` serves
+//!    each of its requests once.
 
 use std::sync::Arc;
 
 use permdnn::core::snapshot::{load_tensor, save_tensor, SnapshotCodec};
 use permdnn::core::BlockPermDiagMatrix;
 use permdnn::runtime::{
-    interleave_streams, AdmissionPolicy, BatchConfig, BatchModel, ModelLoader, ModelRegistry,
-    OnOffFlashCrowd, ParallelExecutor, PoissonBurst, ServeConfig, ServiceModel, SingleLayerModel,
-    SloTarget, TaggedRequest, TrafficConfig, TrafficReport, UniformProcess, ZipfMix,
+    interleave_streams, plan_batches, AdmissionPolicy, BatchConfig, BatchModel, ModelLoader,
+    ModelRegistry, OnOffFlashCrowd, ParallelExecutor, PoissonBurst, Request, ServeConfig,
+    ServiceModel, SingleLayerModel, SloTarget, TaggedRequest, TrafficConfig, TrafficReport,
+    UniformProcess, ZipfMix,
 };
 use permdnn::tensor::init::seeded_rng;
 
@@ -316,4 +320,44 @@ fn lru_cache_under_zipf_traffic_keeps_hot_resident_and_serves_identically() {
         tight.serve.completed, unlimited.serve.completed,
         "ticks equal too: caching is off the service-time books"
     );
+}
+
+/// Checks a stream whose tick sums pass `u64::MAX`: it stays sorted, ends at
+/// `u64::MAX`, and its batch plan serves each request once.
+fn assert_saturated(stream: Vec<Request>) {
+    assert!(stream
+        .windows(2)
+        .all(|w| w[0].arrival_tick <= w[1].arrival_tick));
+    assert_eq!(stream.last().map(|r| r.arrival_tick), Some(u64::MAX));
+    let n = stream.len() as u64;
+    let plans = plan_batches(stream, BatchConfig::new(4, 10));
+    let mut served: Vec<u64> = plans
+        .iter()
+        .flat_map(|b| b.requests.iter().map(|r| r.id))
+        .collect();
+    served.sort_unstable();
+    assert_eq!(served, (0..n).collect::<Vec<_>>());
+}
+
+#[test]
+fn uniform_ticks_saturate_instead_of_wrapping() {
+    assert_saturated(UniformProcess::new(1, 1e300).unwrap().stream(1, 16));
+}
+
+#[test]
+fn poisson_burst_ticks_saturate_instead_of_wrapping() {
+    assert_saturated(PoissonBurst::new(1, 1e300, 0.5, 3).unwrap().stream(2, 16));
+}
+
+#[test]
+fn flash_crowd_ticks_saturate_instead_of_wrapping() {
+    let crowd = OnOffFlashCrowd::new(1, 1 << 63, 1 << 63, 1e19).unwrap();
+    assert_saturated(crowd.stream(3, 16));
+}
+
+#[test]
+fn zipf_mix_ticks_saturate_instead_of_wrapping() {
+    let models = vec![("a".to_string(), 1), ("b".to_string(), 1)];
+    let stream = ZipfMix::new(models, 1.0, 1e300).unwrap().stream(4, 16);
+    assert_saturated(stream.into_iter().map(|t| t.request).collect());
 }

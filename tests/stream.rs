@@ -6,7 +6,9 @@
 //!    [`SnapshotError`] — never a panic, never a silently different model.
 //!    Faulting single blocks in with `load_block` is held to the same
 //!    contract, and a flip inside one block fails only that block's CRC.
-//!    A container of the retired kind 5 is a typed error at every reader.
+//!    A container of the retired kind 5 is a typed error at every reader,
+//!    and the block-stream writer refuses a source of a retired or unknown
+//!    kind.
 //! 2. **Paged ≡ whole.** For every arrival generator × admission policy ×
 //!    worker count in {1, 2, 3, 7}, a registry paging blocks through a tight
 //!    budget serves outputs, batch membership and order bit-identical to an
@@ -224,6 +226,35 @@ fn a_retired_kind_5_container_is_a_typed_error_everywhere() {
         Err(RegistryError::Snapshot(SnapshotError::Malformed { .. }))
     ));
     assert!(paged.is_empty());
+}
+
+/// The block-stream writer refuses a source no reader serves: the retired
+/// kinds 4 and 5 and the unknown kind 7, each a sound container holding a
+/// model's sections, and a container laid out as kind 5 was.
+#[test]
+fn block_streaming_a_retired_or_unknown_kind_is_a_typed_error() {
+    let model = mlp_snapshot(6);
+    let mut sources: Vec<Vec<u8>> = [4, 5, 7]
+        .into_iter()
+        .map(|kind| {
+            let mut b = SnapshotBuilder::new(kind);
+            for (name, payload) in Snapshot::parse(&model).unwrap().sections() {
+                b.section(name, payload.clone());
+            }
+            b.finish()
+        })
+        .collect();
+    sources.push(kind_5_container(&model));
+    for source in sources {
+        let kind = Snapshot::parse(&source).unwrap().kind();
+        assert!(
+            matches!(
+                block_stream_snapshot(&source),
+                Err(SnapshotError::Malformed { .. })
+            ),
+            "kind {kind}"
+        );
+    }
 }
 
 /// `crc32` checks a payload in four lanes, one per quarter of its whole
