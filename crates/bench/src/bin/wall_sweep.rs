@@ -2,7 +2,7 @@
 //! retained per-call baselines, and the permuted-diagonal kernel against
 //! dense at the same shape, on real hardware time.
 //!
-//! Three points time a kernel family against its own retained baseline:
+//! Four points time a kernel family against its own retained baseline:
 //!
 //! * **circulant** — [`BlockCirculantMatrix::matvec_fft_into`] (precomputed
 //!   `FftPlan` + cached weight spectra + reusable scratch) vs
@@ -16,6 +16,10 @@
 //!   [`QuantizedLinear::matmul_q_into`] vs a per-row loop over
 //!   [`QuantizedLinear::matvec_q_reference`] (boxed `Accumulator24`s
 //!   allocated per call).
+//! * **dense_f32** — dense's register-tiled [`CompressedLinear::matmul_into`]
+//!   at batch 1 (32 single-row calls, eight weight rows summed side by side)
+//!   vs a per-row loop over `pd_tensor::Matrix::matvec`, the single
+//!   dependent sum per output that the tile replaced.
 //!
 //! Five more quote PD against the strongest baselines at its shape, the same
 //! operator stored dense or as CSC at PD's density, both sides through their
@@ -24,14 +28,15 @@
 //! at p=4 at batch 1, and PD over CSC at p=4 at the sweep's batch and at
 //! batch 1 (one single-row call per input).
 //!
-//! A ninth point times the checksum every block fault runs: the four-lane
+//! A tenth point times the checksum every block fault runs: the four-lane
 //! [`crc32`] vs [`crc32_single_lane`], on a PD p=4 layer's weight record
 //! (294,926 bytes at 512²) read in place inside a block-streamed container.
 //!
 //! Every pair is asserted **bit-identical** before timing, and the binary
 //! then asserts each point's speedup floor: circulant ≥ 4x, pd_f32 and q16 ≥
-//! 1.2x, PD over dense ≥ 4x (p=8) and ≥ 2x (p=4) at batch 32 and ≥ 3x (p=4)
-//! at batch 1, PD over CSC ≥ 4x at batch 32 and ≥ 2x at batch 1, and the
+//! 1.2x, dense_f32 ≥ 2x, PD over dense ≥ 4x (p=8) and ≥ 2x (p=4) at batch 32
+//! and ≥ 3x (p=4) at batch 1, PD over CSC ≥ 4x at batch 32 and ≥ 2x at
+//! batch 1, and the
 //! four-lane CRC ≥ 0.6x (it reads 2.4–3.1x on a quiet 2-vCPU host but fell
 //! to 1.0x while the other vCPU was busy: the lanes need load throughput
 //! the other vCPU shares, the single lane waits on latency). Both
@@ -135,6 +140,7 @@ fn main() {
         circulant_point(n, batch, reps),
         pd_f32_point(n, batch, reps),
         q16_point(n, batch, reps),
+        dense_f32_point(n, reps),
         pd_vs_point("pd_p8_vs_dense", Baseline::Dense, n, 8, batch, reps, 4.0),
         pd_vs_point("pd_p4_vs_dense", Baseline::Dense, n, 4, batch, reps, 2.0),
         pd_vs_point("pd_p4_vs_dense_b1", Baseline::Dense, n, 4, 1, reps, 3.0),
@@ -324,6 +330,61 @@ fn q16_point(n: usize, batch: usize, reps: usize) -> WallPoint {
         reference_us,
         speedup,
         floor: 1.2,
+    }
+}
+
+/// Dense's register tile at batch 1, through `matmul_into` on an arena (32
+/// single-row calls, one per input, as a batch-1 server makes them), vs a
+/// per-row loop over `pd_tensor::Matrix::matvec`, which sums each output in
+/// one dependent chain and allocates a fresh output per call.
+fn dense_f32_point(n: usize, reps: usize) -> WallPoint {
+    let calls = 32;
+    let w = batch_matrix(n, n, 61);
+    let xs_mat = batch_matrix(n, calls, 62);
+    let views: Vec<BatchView<'_>> = (0..calls)
+        .map(|i| BatchView::new(xs_mat.row(i), 1, n).expect("one row of n inputs"))
+        .collect();
+
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let mut scratch = Scratch::new();
+    let mut out = vec![0.0f32; n];
+    for (i, xs) in views.iter().enumerate() {
+        w.matmul_into(xs, &mut out, &mut scratch)
+            .expect("dimensions match");
+        assert_eq!(
+            bits(&out),
+            bits(&w.matvec(xs_mat.row(i))),
+            "dense tile outputs must be bit-identical"
+        );
+    }
+
+    let (optimized_us, reference_us, speedup) = paired_us(
+        reps,
+        || {
+            for xs in &views {
+                w.matmul_into(black_box(xs), &mut out, &mut scratch)
+                    .expect("checked above");
+            }
+            black_box(&out);
+        },
+        || {
+            for i in 0..calls {
+                black_box(w.matvec(black_box(xs_mat.row(i))));
+            }
+        },
+    );
+
+    WallPoint {
+        workload: "dense_f32",
+        baseline: "per-row Matrix::matvec",
+        rows: n,
+        cols: n,
+        batch: 1,
+        reps,
+        optimized_us,
+        reference_us,
+        speedup,
+        floor: 2.0,
     }
 }
 

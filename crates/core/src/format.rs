@@ -571,25 +571,25 @@ impl CompressedLinear for Matrix {
         (self.rows() * self.cols()) as u64
     }
 
+    /// The register-tiled kernel of `matmul_into` (below) at batch 1: eight
+    /// weight rows at a time against the input row in place, with no scratch
+    /// and no allocation.
     fn matvec_into(&self, x: &[f32], y: &mut [f32]) -> Result<(), FormatError> {
         check_dim("matvec_into", self.cols(), x.len())?;
         check_dim("matvec_into", self.rows(), y.len())?;
-        for (r, out) in y.iter_mut().enumerate() {
-            let mut acc = 0.0f32;
-            for (w, xv) in self.row(r).iter().zip(x.iter()) {
-                acc += w * xv;
-            }
-            *out = acc;
-        }
+        dense_chunk::<1, 8>(self, x.as_chunks::<1>().0, y);
         Ok(())
     }
 
-    /// Across-batch kernel: the batch runs in chunks of 16, 8, 4 or 2 rows
-    /// (a chunk's size follows from the rows left), each transposed once into
-    /// a `scratch` slot so that every weight `w[r][k]` is multiplied into an
-    /// `[f32; NB]` register accumulator, one lane per batch row. Each output
-    /// still sums `w[r][k] · x[k]` left to right over `k`, so results are
-    /// bit-identical to `matvec_into`, which a single-row chunk runs.
+    /// Register-tiled kernel: the batch runs in chunks of 16, 8, 4, 2 or 1
+    /// rows (a chunk's size follows from the rows left), multiplied by tiles
+    /// of 1, 2, 4, 8 and 8 weight rows respectively, so a tile holds 16
+    /// accumulators (8 for a lone row). A chunk of two or more rows is
+    /// transposed once into a `scratch` slot, giving every `k` its inputs
+    /// side by side; a lone row is read in place. Each output still sums
+    /// `w[r][k] · x[k]` left to right over `k`, weight first, exactly as
+    /// `pd_tensor::Matrix::matvec` does, so every output is bit-identical to
+    /// that loop: the tile only runs independent sums side by side.
     fn matmul_into(
         &self,
         xs: &BatchView<'_>,
@@ -606,7 +606,6 @@ impl CompressedLinear for Matrix {
         if m == 0 {
             return Ok(());
         }
-        let xt = &mut scratch.slot::<DenseScratch>().xt;
         let mut b0 = 0;
         while b0 < xs.batch() {
             let nb = match xs.batch() - b0 {
@@ -617,12 +616,16 @@ impl CompressedLinear for Matrix {
                 _ => 1,
             };
             let chunk = &mut out[b0 * m..(b0 + nb) * m];
-            match nb {
-                16 => dense_chunk::<16>(self, xs, b0, chunk, xt),
-                8 => dense_chunk::<8>(self, xs, b0, chunk, xt),
-                4 => dense_chunk::<4>(self, xs, b0, chunk, xt),
-                2 => dense_chunk::<2>(self, xs, b0, chunk, xt),
-                _ => self.matvec_into(xs.row(b0), chunk)?,
+            if nb == 1 {
+                dense_chunk::<1, 8>(self, xs.row(b0).as_chunks::<1>().0, chunk);
+            } else {
+                let xt = &mut scratch.slot::<DenseScratch>().xt;
+                match nb {
+                    16 => dense_chunk::<16, 1>(self, transpose(xs, b0, xt), chunk),
+                    8 => dense_chunk::<8, 2>(self, transpose(xs, b0, xt), chunk),
+                    4 => dense_chunk::<4, 4>(self, transpose(xs, b0, xt), chunk),
+                    _ => dense_chunk::<2, 8>(self, transpose(xs, b0, xt), chunk),
+                }
             }
             b0 += nb;
         }
@@ -653,32 +656,85 @@ struct DenseScratch {
     xt: Vec<f32>,
 }
 
-/// Rows `b0..b0 + NB` of `xs` through `w`, into the `NB × rows` block `out`.
-fn dense_chunk<const NB: usize>(
-    w: &Matrix,
+/// Rows `b0..b0 + NB` of `xs`, transposed into `xt`: entry `k` holds column
+/// `k` of every row.
+fn transpose<'a, const NB: usize>(
     xs: &BatchView<'_>,
     b0: usize,
-    out: &mut [f32],
-    xt: &mut Vec<f32>,
-) {
-    let m = w.rows();
+    xt: &'a mut Vec<f32>,
+) -> &'a [[f32; NB]] {
     xt.clear();
-    xt.resize(w.cols() * NB, 0.0);
+    xt.resize(xs.dim() * NB, 0.0);
+    let cols = xt.as_chunks_mut::<NB>().0;
     for b in 0..NB {
-        for (xk, &v) in xt.chunks_exact_mut(NB).zip(xs.row(b0 + b)) {
-            xk[b] = v;
+        for (col, &v) in cols.iter_mut().zip(xs.row(b0 + b)) {
+            col[b] = v;
         }
     }
-    for r in 0..m {
-        let mut acc = [0.0f32; NB];
-        for (&wk, xk) in w.row(r).iter().zip(xt.chunks_exact(NB)) {
-            let xk: &[f32; NB] = xk.try_into().expect("chunks_exact yields NB values");
-            for b in 0..NB {
-                acc[b] += wk * xk[b];
+    xt.as_chunks().0
+}
+
+/// `NB` batch rows (`x[k]` holds column `k` of each) through `w`, into the
+/// `NB × rows` block `out`: tiles of `NR` weight rows, then narrower tiles
+/// for the rows left.
+fn dense_chunk<const NB: usize, const NR: usize>(w: &Matrix, x: &[[f32; NB]], out: &mut [f32]) {
+    let m = w.rows();
+    let mut r0 = 0;
+    while m - r0 >= NR {
+        dense_tile::<NB, NR>(w, x, r0, out);
+        r0 += NR;
+    }
+    if NR > 4 && m - r0 >= 4 {
+        dense_tile::<NB, 4>(w, x, r0, out);
+        r0 += 4;
+    }
+    if NR > 2 && m - r0 >= 2 {
+        dense_tile::<NB, 2>(w, x, r0, out);
+        r0 += 2;
+    }
+    if NR > 1 && m - r0 >= 1 {
+        dense_tile::<NB, 1>(w, x, r0, out);
+    }
+}
+
+/// Weights each tile step reads from every one of its rows.
+const DENSE_STEP: usize = 4;
+
+/// Weight rows `r0..r0 + NR` against `NB` batch rows: `NR × NB` independent
+/// sums, each `acc + w[r][k] · x[b][k]` left to right over `k`, reading
+/// [`DENSE_STEP`] consecutive weights of each row per step.
+#[inline(always)]
+fn dense_tile<const NB: usize, const NR: usize>(
+    w: &Matrix,
+    x: &[[f32; NB]],
+    r0: usize,
+    out: &mut [f32],
+) {
+    let (m, steps) = (w.rows(), w.cols() / DENSE_STEP);
+    let rows: [&[f32]; NR] = std::array::from_fn(|i| w.row(r0 + i));
+    let ws: [&[[f32; DENSE_STEP]]; NR] =
+        std::array::from_fn(|i| &rows[i].as_chunks::<DENSE_STEP>().0[..steps]);
+    let mut acc = [[0.0f32; NB]; NR];
+    for (s, xs) in x.chunks_exact(DENSE_STEP).enumerate() {
+        for r in 0..NR {
+            for (&wk, xk) in ws[r][s].iter().zip(xs) {
+                for b in 0..NB {
+                    acc[r][b] += wk * xk[b];
+                }
             }
         }
+    }
+    for k in steps * DENSE_STEP..w.cols() {
+        for r in 0..NR {
+            let wk = rows[r][k];
+            for b in 0..NB {
+                acc[r][b] += wk * x[k][b];
+            }
+        }
+    }
+    for (r, acc) in acc.iter().enumerate() {
         for (b, &a) in acc.iter().enumerate() {
-            out[b * m + r] = a;
+            out[b * m + r0 + r] = a;
         }
     }
 }

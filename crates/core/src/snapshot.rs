@@ -754,24 +754,25 @@ impl SnapshotBuilder {
     }
 }
 
-/// A parsed snapshot: the model kind and the validated sections.
+/// A parsed snapshot: the model kind and the validated sections, each name
+/// and payload borrowed in place from the parsed bytes.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Snapshot {
+pub struct Snapshot<'a> {
     kind: u16,
-    sections: Vec<(String, Vec<u8>)>,
+    sections: Vec<(&'a str, &'a [u8])>,
 }
 
-impl Snapshot {
+impl<'a> Snapshot<'a> {
     /// Parses and fully validates a snapshot container: magic, version,
     /// section framing and every per-section checksum. Corrupted input of any
     /// shape produces a typed [`SnapshotError`]; nothing panics, and declared
-    /// lengths are checked against the available bytes before allocation.
-    pub fn parse(bytes: &[u8]) -> Result<Snapshot, SnapshotError> {
-        let (kind, frames) = walk_frames(bytes, true)?;
-        let sections = frames
-            .into_iter()
-            .map(|f| (f.name.to_string(), bytes[f.offset..][..f.len].to_vec()))
-            .collect();
+    /// lengths are checked against the available bytes before allocation. No
+    /// payload is copied.
+    pub fn parse(bytes: &'a [u8]) -> Result<Snapshot<'a>, SnapshotError> {
+        let mut sections = Vec::new();
+        let kind = walk_frames(bytes, true, |f| {
+            sections.push((f.name, &bytes[f.offset..][..f.len]));
+        })?;
         Ok(Snapshot { kind, sections })
     }
 
@@ -781,7 +782,7 @@ impl Snapshot {
     }
 
     /// The sections, in file order.
-    pub fn sections(&self) -> &[(String, Vec<u8>)] {
+    pub fn sections(&self) -> &[(&'a str, &'a [u8])] {
         &self.sections
     }
 
@@ -790,11 +791,11 @@ impl Snapshot {
     /// # Errors
     ///
     /// Returns [`SnapshotError::MissingSection`] if no section has that name.
-    pub fn section(&self, name: &str) -> Result<&[u8], SnapshotError> {
+    pub fn section(&self, name: &str) -> Result<&'a [u8], SnapshotError> {
         self.sections
             .iter()
-            .find(|(n, _)| n == name)
-            .map(|(_, p)| p.as_slice())
+            .find(|(n, _)| *n == name)
+            .map(|&(_, p)| p)
             .ok_or_else(|| SnapshotError::MissingSection {
                 name: name.to_string(),
             })
@@ -1120,9 +1121,11 @@ struct Frame<'a> {
 }
 
 /// Walks a container's header and section framing — the one framing parser
-/// every reader shares — and returns the header's model kind plus every
-/// frame in file order. Magic, version, counts, names, declared lengths and
-/// trailing bytes are all validated.
+/// every reader shares — hands every frame to `visit` in file order, and
+/// returns the header's model kind. Magic, version, counts, names, declared
+/// lengths and trailing bytes are all validated. A frame can be visited
+/// before a later one fails to frame, so callers use what `visit` kept only
+/// when the walk returns `Ok`.
 ///
 /// With `check_crcs` off no payload is read — O(section count) work, never
 /// O(file). This is what lets one block load while some *other* block's
@@ -1131,7 +1134,11 @@ struct Frame<'a> {
 /// its CRC as soon as it is framed, before the next frame is read: a damaged
 /// length field reports the checksum mismatch it causes, not the misframing
 /// that follows.
-fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame<'_>>), SnapshotError> {
+fn walk_frames<'a>(
+    bytes: &'a [u8],
+    check_crcs: bool,
+    mut visit: impl FnMut(Frame<'a>),
+) -> Result<u16, SnapshotError> {
     let mut r = ByteReader::new(bytes);
     let magic = r.take(MAGIC.len(), "magic").map_err(|_| {
         let mut got = [0u8; 8];
@@ -1161,7 +1168,6 @@ fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame<'_>>), 
             got: r.remaining() as u64,
         });
     }
-    let mut frames = Vec::with_capacity(count);
     for _ in 0..count {
         let name_len = r.u16("section name length")? as usize;
         if name_len == 0 || name_len > MAX_NAME_LEN {
@@ -1197,23 +1203,26 @@ fn walk_frames(bytes: &[u8], check_crcs: bool) -> Result<(u16, Vec<Frame<'_>>), 
         if check_crcs {
             verified_payload(bytes, &frame)?;
         }
-        frames.push(frame);
+        visit(frame);
     }
     r.expect_end("container")?;
-    Ok((kind, frames))
+    Ok(kind)
 }
 
 /// [`walk_frames`] for the block readers: no payload is read, and the
 /// container must be [`KIND_BLOCKED`].
-fn walk_blocked_frames(bytes: &[u8]) -> Result<Vec<Frame<'_>>, SnapshotError> {
-    let (kind, frames) = walk_frames(bytes, false)?;
+fn walk_blocked_frames<'a>(
+    bytes: &'a [u8],
+    visit: impl FnMut(Frame<'a>),
+) -> Result<(), SnapshotError> {
+    let kind = walk_frames(bytes, false, visit)?;
     if kind != KIND_BLOCKED {
         return Err(SnapshotError::Malformed {
             context: "blocked container",
             reason: format!("kind {kind} is not a block-streamed snapshot"),
         });
     }
-    Ok(frames)
+    Ok(())
 }
 
 /// CRC-checks one walked frame's payload against the stored checksum that
@@ -1283,12 +1292,14 @@ pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
     let mut b = SnapshotBuilder::new(KIND_BLOCKED);
     b.section(INNER_KIND_SECTION, snap.kind().to_le_bytes().to_vec());
     for (name, payload) in snap.sections() {
-        b.section(name, payload.clone());
+        b.section(name, payload.to_vec());
     }
     let blocked = b.finish();
     // Walking the blocks back rejects a weight section too short to carry a
     // format code.
-    if walk_blocks(&blocked)?.1.is_empty() {
+    let mut blocks = 0;
+    walk_blocks(&blocked, |_, _| blocks += 1)?;
+    if blocks == 0 {
         return Err(SnapshotError::Malformed {
             context: "block stream source",
             reason: "snapshot has no weight sections to block".to_string(),
@@ -1311,26 +1322,41 @@ pub fn block_stream_snapshot(bytes: &[u8]) -> Result<Vec<u8>, SnapshotError> {
 /// inner-kind section that is missing, not first, corrupt or not exactly two
 /// bytes, and a weight section shorter than a format code.
 pub fn read_block_index(bytes: &[u8]) -> Result<BlockIndex, SnapshotError> {
-    let (inner_kind, blocks) = walk_blocks(bytes)?;
-    let blocks = blocks
-        .into_iter()
-        .map(|(f, kind)| BlockEntry {
+    let mut blocks = Vec::new();
+    let inner_kind = walk_blocks(bytes, |f, kind| {
+        blocks.push(BlockEntry {
             name: f.name.to_string(),
             kind,
             offset: f.offset as u64,
             len: f.len as u64,
-        })
-        .collect();
+        });
+    })?;
     Ok(BlockIndex { inner_kind, blocks })
 }
 
 /// The walk behind [`read_block_index`] and every block read: the framing of
-/// a [`KIND_BLOCKED`] container, its CRC-checked inner kind, and each weight
-/// section's frame with the format code its record leads with, in file
-/// order. No block payload is checked.
-fn walk_blocks(bytes: &[u8]) -> Result<(u16, Vec<(Frame<'_>, u16)>), SnapshotError> {
-    let mut frames = walk_blocked_frames(bytes)?.into_iter();
-    let inner = match frames.next() {
+/// a [`KIND_BLOCKED`] container, then its CRC-checked inner kind, then the
+/// format code each weight section's record leads with. Each weight
+/// section's frame goes to `visit` with its code, in file order, and the
+/// inner kind is returned; what `visit` saw counts only if that is `Ok`. No
+/// block payload is checked.
+fn walk_blocks<'a>(
+    bytes: &'a [u8],
+    mut visit: impl FnMut(Frame<'a>, u16),
+) -> Result<u16, SnapshotError> {
+    let (mut inner, mut short_record) = (None, None);
+    walk_blocked_frames(bytes, |f| {
+        if inner.is_none() {
+            inner = Some(f);
+        } else if is_weight_block_section(f.name) && short_record.is_none() {
+            let record = &bytes[f.offset..f.offset + f.len];
+            match ByteReader::new(record).u16("block format code") {
+                Ok(code) => visit(f, code),
+                Err(e) => short_record = Some(e),
+            }
+        }
+    })?;
+    let inner = match inner {
         Some(f) if f.name == INNER_KIND_SECTION => f,
         _ => {
             return Err(SnapshotError::MissingSection {
@@ -1341,23 +1367,27 @@ fn walk_blocks(bytes: &[u8]) -> Result<(u16, Vec<(Frame<'_>, u16)>), SnapshotErr
     let mut r = ByteReader::new(verified_payload(bytes, &inner)?);
     let inner_kind = r.u16("block container inner kind")?;
     r.expect_end("block container inner kind")?;
-    let blocks = frames
-        .filter(|f| is_weight_block_section(f.name))
-        .map(|f| {
-            let record = &bytes[f.offset..f.offset + f.len];
-            Ok((f, ByteReader::new(record).u16("block format code")?))
-        })
-        .collect::<Result<_, SnapshotError>>()?;
-    Ok((inner_kind, blocks))
+    match short_record {
+        Some(e) => Err(e),
+        None => Ok(inner_kind),
+    }
 }
 
 /// Locates block `k` of a [`KIND_BLOCKED`] container by the walk
-/// [`read_block_index`] runs and checks *only that block's* payload against
-/// its stored CRC, returning the payload borrowed in place — the shared
-/// first step of [`extract_block`] and [`load_block`].
+/// [`read_block_index`] runs, keeping only that block's frame, and checks
+/// *only that block's* payload against its stored CRC, returning the payload
+/// borrowed in place — the shared first step of [`extract_block`] and
+/// [`load_block`].
 fn verified_block(bytes: &[u8], k: usize) -> Result<&[u8], SnapshotError> {
-    match walk_blocks(bytes)?.1.get(k) {
-        Some((frame, _)) => verified_payload(bytes, frame),
+    let (mut seen, mut block) = (0, None);
+    walk_blocks(bytes, |frame, _| {
+        if seen == k {
+            block = Some(frame);
+        }
+        seen += 1;
+    })?;
+    match block {
+        Some(frame) => verified_payload(bytes, &frame),
         None => Err(SnapshotError::MissingSection {
             name: format!("block {k}"),
         }),
@@ -1412,15 +1442,16 @@ pub fn load_block(
 /// the requested section, and [`SnapshotError::MissingSection`] if no section
 /// has that name.
 pub fn read_blocked_section(bytes: &[u8], name: &str) -> Result<Vec<u8>, SnapshotError> {
-    let frames = walk_blocked_frames(bytes)?;
-    let frame =
-        frames
-            .iter()
-            .find(|f| f.name == name)
-            .ok_or_else(|| SnapshotError::MissingSection {
-                name: name.to_string(),
-            })?;
-    Ok(verified_payload(bytes, frame)?.to_vec())
+    let mut found = None;
+    walk_blocked_frames(bytes, |f| {
+        if found.is_none() && f.name == name {
+            found = Some(f);
+        }
+    })?;
+    let frame = found.ok_or_else(|| SnapshotError::MissingSection {
+        name: name.to_string(),
+    })?;
+    Ok(verified_payload(bytes, &frame)?.to_vec())
 }
 
 // ---------------------------------------------------------------------------
@@ -2097,7 +2128,7 @@ mod tests {
         // One entry per weight section, in file order, locating exactly the
         // source's record bytes.
         let index = read_block_index(&blocked).unwrap();
-        let weights: Vec<&(String, Vec<u8>)> = source
+        let weights: Vec<&(&str, &[u8])> = source
             .sections()
             .iter()
             .filter(|(name, _)| is_weight_block_section(name))
@@ -2106,7 +2137,7 @@ mod tests {
         for (entry, (name, payload)) in index.blocks.iter().zip(weights) {
             assert_eq!(&entry.name, name);
             let at = entry.offset as usize..(entry.offset + entry.len) as usize;
-            assert_eq!(&blocked[at], payload.as_slice(), "{name}");
+            assert_eq!(&blocked[at], *payload, "{name}");
             assert_eq!(entry.kind, u16::from_le_bytes([payload[0], payload[1]]));
         }
     }

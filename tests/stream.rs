@@ -17,12 +17,18 @@
 //! 3. **Over-budget serving.** A model whose weight blocks exceed the entire
 //!    cache budget still completes a Zipf-mix run bit-identically, with peak
 //!    resident weight bytes pinned to `budget + max_block`.
+//! 4. **Mixed formats.** The autotuner's mixed-format fixture pages like any
+//!    other model.
+//! 5. **Biases.** An MLP whose biases were trained off zero serves, whole
+//!    and paged, exactly the layer-by-layer logits of the model that was
+//!    saved, so adding the bias after the activation would fail.
 
 use permdnn::core::snapshot::{
     block_stream_snapshot, extract_block, is_weight_block_section, load_block, read_block_index,
     read_blocked_section, ByteWriter, Snapshot, SnapshotBuilder, SnapshotError, INNER_KIND_SECTION,
 };
-use permdnn::nn::layers::WeightFormat;
+use permdnn::nn::data::GaussianClusters;
+use permdnn::nn::layers::{CompressedFc, WeightFormat};
 use permdnn::nn::snapshot::{
     batch_model_loader, codec, load_batch_model, load_paged_model, paged_config,
 };
@@ -203,7 +209,7 @@ fn kind_5_container(model: &[u8]) -> Vec<u8> {
     let mut b = SnapshotBuilder::new(5);
     b.section("block_index", index.into_vec());
     for (name, payload) in sections {
-        b.section(name, payload.clone());
+        b.section(name, payload.to_vec());
     }
     b.finish()
 }
@@ -239,7 +245,7 @@ fn block_streaming_a_retired_or_unknown_kind_is_a_typed_error() {
         .map(|kind| {
             let mut b = SnapshotBuilder::new(kind);
             for (name, payload) in Snapshot::parse(&model).unwrap().sections() {
-                b.section(name, payload.clone());
+                b.section(name, payload.to_vec());
             }
             b.finish()
         })
@@ -567,4 +573,74 @@ fn mixed_format_fixture_pages_bit_identically_to_whole_load() {
         "paging a mixed-format snapshot must not change a single output bit"
     );
     assert!(report.serve.stats.blocks_faulted > 0);
+}
+
+// ---------------------------------------------------------------------------
+// 5. The stage loop's bias-then-activation order, on a model that shows it:
+// frozen layers train their biases, so a few `fit` steps move every bias
+// off zero, and `relu(W·x + b)` then differs from `relu(W·x) + b` wherever
+// a pre-activation is negative. Whole-loaded and paged serving, both the
+// stage loop, must equal the layer-by-layer `logits` of the model that was
+// saved.
+// ---------------------------------------------------------------------------
+
+#[test]
+fn trained_biases_serve_bit_identically_whole_loaded_and_paged() {
+    let mut model = MlpClassifier::new_frozen(
+        IN_DIM,
+        &[32, 16],
+        CLASSES,
+        WeightFormat::PermutedDiagonal { p: 4 },
+        &mut seeded_rng(0xB1A5),
+    );
+    let data = GaussianClusters::generate(&mut seeded_rng(0xB1A6), 48, CLASSES, IN_DIM, 0.5);
+    model.fit(&data, 2, 8, 0.5);
+    let snap = model.save().expect("frozen models snapshot");
+    let blocked = block_stream_snapshot(&snap).unwrap();
+    let budget = read_block_index(&blocked).unwrap().max_block_bytes() + 32;
+
+    let stream = ZipfMix::new(vec![("biased".to_string(), IN_DIM)], 1.1, 3.0)
+        .unwrap()
+        .stream(0xB1A7, 24);
+    // The premise: on some served input, a first-layer unit with a non-zero
+    // bias has a negative pre-activation.
+    let first = model.layers()[0]
+        .as_any()
+        .downcast_ref::<CompressedFc>()
+        .expect("a frozen MLP's first layer is a CompressedFc");
+    assert!(stream.iter().any(|r| {
+        let wx = first.weights().matvec(&r.request.input).unwrap();
+        wx.iter()
+            .zip(first.bias())
+            .any(|(&y, &b)| b != 0.0 && y + b < 0.0)
+    }));
+
+    let cfg = TrafficConfig::new(serve_cfg(), AdmissionPolicy::Fifo);
+    for workers in [1, 2] {
+        let exec = ParallelExecutor::new(workers);
+        let mut whole = ModelRegistry::new(batch_model_loader(), u64::MAX);
+        whole.insert("biased", snap.clone()).unwrap();
+        let reference = whole.serve_traffic(&exec, &cfg, stream.clone()).unwrap();
+        let mut paged = ModelRegistry::new_paged(batch_model_loader(), paged_config(), budget);
+        paged.insert("biased", blocked.clone()).unwrap();
+        let report = paged.serve_traffic(&exec, &cfg, stream.clone()).unwrap();
+
+        assert_eq!(strip(&report), strip(&reference), "{workers} workers");
+        assert!(report.serve.stats.blocks_faulted > 0);
+        assert_eq!(reference.serve.completed.len(), stream.len());
+        for tc in &reference.serve.completed {
+            let input = &stream
+                .iter()
+                .find(|r| r.request.id == tc.completed.id)
+                .expect("every completion answers a request")
+                .request
+                .input;
+            assert_eq!(
+                tc.completed.output,
+                model.logits(input),
+                "request {} on {workers} workers",
+                tc.completed.id
+            );
+        }
+    }
 }

@@ -2,7 +2,7 @@
 //!
 //! The optimisation passes (precomputed FFT plans + cached weight spectra,
 //! scratch arenas through the matvec/matmul hot path, the index-free
-//! rotated-window PD kernel, dense's across-batch kernel, the unrolled i16
+//! rotated-window PD kernel, dense's register-tiled kernel, the unrolled i16
 //! column-sparse inner loop) change where values live and in what order
 //! memory is read — never the order in which any output sums its terms. This
 //! suite pins that down:
@@ -17,7 +17,9 @@
 //!    ragged shapes, random permutations, zero and `-0.0` inputs, through
 //!    `matvec_into`, a reused scratch, the across-batch path at every chunk
 //!    width and tail, and the executor. Shared-PD and dense batches equal
-//!    their own per-row matvecs.
+//!    their own per-row matvecs, and dense's tile equals
+//!    `pd_tensor::Matrix::matvec`, the loop it replaced, bit for bit at
+//!    every tile shape and tail on values that catch a reordered sum.
 //! 4. The unrolled flat-accumulator i16 kernel equals the boxed-accumulator
 //!    reference exactly — outputs *and* datapath counters.
 //! 5. The arena-backed executor stays bit-identical to sequential execution
@@ -259,7 +261,8 @@ fn signed_zero_inputs(batch: usize, dim: usize, seed: u64) -> Matrix {
 
 // 3c. The across-batch kernels against their per-row paths at every batch
 // size from 0 through 40, so every chunk width and every tail runs: dense's
-// 16/8/4/2-row chunks against its row dot product, PD's tiles of 32 / p rows
+// 16/8/4/2-row chunks against its lone-row tile (3d pins both to
+// `Matrix::matvec`), PD's tiles of 32 / p rows
 // (p = 2, 4, 8, 16; p = 3 runs row by row) against `matvec_reference`, and
 // shared-PD against its own `matvec_into`. One arena serves every format,
 // and the second shape has fewer rows than most block sizes.
@@ -309,6 +312,84 @@ fn batched_kernels_match_rows_at_every_batch_size() {
                         &y[..],
                         "shared-PD p={p} {rows}x{cols} batch {batch} row {i}"
                     );
+                }
+            }
+        }
+    }
+}
+
+/// A `rows × cols` matrix laced with the values that tell a reordered sum
+/// or a skipped term apart: `-0.0`, subnormals, and magnitudes near 2^59
+/// whose products (about 2^118) swamp and then cancel each other, so a
+/// reassociated sum rounds differently. Every third row (from `special_row`)
+/// also holds `±∞` and NaN, so `∞ · 0`, `∞ − ∞` and NaN terms reach the
+/// sums; the other rows stay finite and keep the cancellations visible.
+///
+/// The NaN is the one the hardware makes for `∞ · 0`, so every NaN in a
+/// computation has the same bits. Where both operands of a multiply or an add
+/// are NaN, x86 keeps the first operand's payload, and LLVM may commute
+/// either operand of `fmul` and `fadd` in either loop: with two payloads the
+/// survivor would follow the compiler's register choice, not the source.
+fn adversarial_values(rows: usize, cols: usize, special_row: usize, seed: u64) -> Matrix {
+    let nan = std::hint::black_box(f32::INFINITY) * std::hint::black_box(0.0f32);
+    let mut m = xavier_uniform(&mut seeded_rng(seed), rows, cols);
+    for (i, v) in m.as_mut_slice().iter_mut().enumerate() {
+        let h = (i as u64 ^ seed).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 59;
+        let sign = (h as u32 & 1) << 31;
+        let special = (i / cols) % 3 == special_row;
+        *v = match h {
+            0 => -0.0,
+            1..=3 => f32::from_bits(sign | (1 + (i as u32 * 7919) % 0x007f_ffff)),
+            4..=11 => f32::from_bits(sign | ((59 + 127) << 23)) * (1.0 + v.abs()),
+            12 | 13 if special => f32::from_bits(sign | f32::INFINITY.to_bits()),
+            14 | 15 if special => nan,
+            _ => *v,
+        };
+    }
+    m
+}
+
+// 3d. Dense's register tile against the loop it replaced,
+// `pd_tensor::Matrix::matvec`, bit for bit (`to_bits`, so signed zeros and
+// NaN bits count): every tile shape (8×1 at batch 1, then 8×2, 4×4, 2×8
+// and 1×16) with every ragged weight-row and column tail, at every batch
+// 0–40, on values that catch a reordered sum, a skipped term or a sum
+// started at `-0.0`, through `matmul_into` on one reused arena,
+// `matvec_into` row by row, and the executor at every worker count.
+#[test]
+fn dense_tile_matches_matrix_matvec_bit_for_bit() {
+    let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<u32>>();
+    let executors = WORKER_COUNTS.map(ParallelExecutor::new);
+    let mut arena = Scratch::new();
+    for rows in [1usize, 3, 7, 9, 17, 33] {
+        for cols in [1usize, 3, 5, 64, 67] {
+            let w = adversarial_values(rows, cols, 0, (rows * 100 + cols) as u64);
+            let op: Arc<dyn CompressedLinear> = Arc::new(w.clone());
+            let mut y = vec![0.0f32; rows];
+            let mut got = Matrix::zeros(0, 0);
+            for batch in 0..=40 {
+                let xs_mat = adversarial_values(batch, cols, 1, batch as u64);
+                let xs = BatchView::from_matrix(&xs_mat);
+                let want: Vec<u32> = (0..batch)
+                    .flat_map(|i| bits(&w.matvec(xs.row(i))))
+                    .collect();
+                let at = format!("{rows}x{cols} batch {batch}");
+                let mut out = vec![f32::NAN; batch * rows];
+                w.matmul_into(&xs, &mut out, &mut arena).unwrap();
+                assert_eq!(bits(&out), want, "matmul_into {at}");
+                for i in 0..batch {
+                    y.fill(f32::NAN);
+                    CompressedLinear::matvec_into(&w, xs.row(i), &mut y).unwrap();
+                    assert_eq!(
+                        bits(&y),
+                        want[i * rows..(i + 1) * rows],
+                        "matvec_into {at} row {i}"
+                    );
+                }
+                for exec in &executors {
+                    exec.matmul_into(&op, &xs, &mut got).unwrap();
+                    let workers = exec.workers();
+                    assert_eq!(bits(got.as_slice()), want, "{at} workers={workers}");
                 }
             }
         }
